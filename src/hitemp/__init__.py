@@ -16,7 +16,7 @@ from .analytic import (  # noqa: F401
     semicircle_cdf,
     semicircle_pdf,
 )
-from .eig import SpectrumResult, full_spectrum, gershgorin, lambda_max, lambda_min, sturm_count  # noqa: F401
+from .eig import SpectrumResult, full_spectrum, gershgorin, lambda_max, sturm_count  # noqa: F401
 from .experiments import ExperimentConfig  # noqa: F401
 from .measures import DiscreteMeasure, from_spectrum, ks_to_semicircle, moment, w1_to_semicircle  # noqa: F401
 from .model import EnsembleParams, RegimeSchedule, make_params, regime_report  # noqa: F401

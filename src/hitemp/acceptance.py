@@ -10,18 +10,16 @@ analytic bounds.  Runs are seeded and deterministic for a fixed worker count
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import tempfile
 import time
-from contextlib import redirect_stdout
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import cli, eig
-from .analytic import energy_I, log_potential_semicircle, log_potential_semicircle_quad, rate_J, rate_J_quad
+from .analytic import log_potential_semicircle, log_potential_semicircle_quad, rate_J, rate_J_quad
 from .experiments import ExperimentConfig, lambda_max_sample, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule
 from .partition import compare_ratios, log_Z, technical_gap

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 
@@ -165,6 +164,10 @@ def _write_summary(path, checks) -> None:
         fh.write("\n")
 
 
+TOL_HELP = ("eigensolver tolerance: the final bisection bracket width; a tol below the "
+            "float spacing stops at adjacent doubles")
+
+
 def _add_experiment_flags(sp, with_x=False, with_t=False, with_m=False):
     sp.add_argument("--schedule", help="invlogsq | invlog | power | const")
     sp.add_argument("--c", type=float, help="schedule coefficient")
@@ -173,7 +176,7 @@ def _add_experiment_flags(sp, with_x=False, with_t=False, with_m=False):
     sp.add_argument("--n", type=_parse_n_list, help="comma list of ensemble sizes")
     sp.add_argument("--replicas", type=int)
     sp.add_argument("--seed", type=int, help="master seed")
-    sp.add_argument("--tol", type=float, help="eigensolver tolerance")
+    sp.add_argument("--tol", type=float, help=TOL_HELP)
     sp.add_argument("--workers", type=int, help="worker processes (env HITEMP_WORKERS, then core count)")
     sp.add_argument("--plus-one-alpha", action="store_true", help="use alpha = 1 + n*beta/2")
     sp.add_argument("--config", help="JSON config file or run manifest")
@@ -204,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eig", help="spectrum of a dumped matrix, one eigenvalue per line")
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None, help=TOL_HELP)
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("rate", help="rate-function table over an x grid")

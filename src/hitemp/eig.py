@@ -1,11 +1,18 @@
-"""Symmetric tridiagonal eigensolver: Sturm counts, Gershgorin brackets,
-bisection for extreme eigenvalues and full spectra.
+"""Symmetric tridiagonal eigensolver: Sturm counts, Gershgorin brackets and
+bisection, for the largest eigenvalue or the full spectrum.
+
+One shifted LDL^T recurrence (`_sturm_counts`) counts the eigenvalues at or
+below a shift, for a batch of matrices with one or several shifts each.  One
+bisection loop (`_bisect`) finds the k-th eigenvalue of each lane, with the
+rule "the k-th eigenvalue lies below mid iff count >= k": lambda_max is
+target n, a full spectrum is targets 1..n.  A lane stops once its bracket is
+no wider than tol, or once its midpoint equals an end of the bracket (tol
+below the float spacing), so every lane's trajectory is independent of what
+else sits in the batch.
 
 Bisection is used instead of QR because the experiments mostly need one
 eigenvalue per replica and bit-reproducible results matter more than the
-constant factor.  All routines are pure; the batch variants vectorize the
-Sturm recurrence across replicas/shifts lane by lane, so a lane's result
-never depends on what else sits in the batch.
+constant factor.  All routines are pure.
 """
 
 from __future__ import annotations
@@ -28,12 +35,17 @@ class SpectrumResult:
     iterations: int
 
 
-def _as_arrays(tri: TridiagonalMatrix):
-    return np.asarray(tri.diag, float), np.asarray(tri.offdiag, float)
+def _as_batch(tri: TridiagonalMatrix):
+    """The matrix as a one-row (diags, offdiags) batch."""
+    return np.asarray(tri.diag, float)[None, :], np.asarray(tri.offdiag, float)[None, :]
 
 
-def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts) -> np.ndarray:
-    """Number of eigenvalues strictly below each shift, vectorized over shifts.
+def _sturm_counts(diags: np.ndarray, b2s: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues at or below each shift, for a (r, n) batch.
+
+    shifts has shape (r,) for one shift per matrix or (r, k) for k shifts per
+    matrix; the counts have the shape of shifts.  b2s holds the squared
+    off-diagonals, shape (r, n - 1).
 
     Shifted LDL^T recurrence d_1 = a_1 - x, d_i = (a_i - x) - b_{i-1}^2/d_{i-1};
     the count is the number of negative pivots.  A pivot with |d| below
@@ -41,80 +53,49 @@ def sturm_counts(diag: np.ndarray, offdiag: np.ndarray, shifts) -> np.ndarray:
     -eps_pivot and counted negative, so a shift landing exactly on an
     eigenvalue yields the "<= x" count instead of a division blow-up.
     """
-    x = np.atleast_1d(np.asarray(shifts, dtype=float))
-    b2 = offdiag * offdiag
-    t = diag[0] - x
+    cols, b2cols = diags.T, b2s.T
+    if shifts.ndim == 2:
+        cols, b2cols = cols[:, :, None], b2cols[:, :, None]
+    t = cols[0] - shifts
     eps = _EPS * (1.0 + np.abs(t))
     d = np.where(np.abs(t) < eps, -eps, t)
     count = (d < 0).astype(np.int64)
-    for i in range(1, diag.size):
-        am = diag[i] - x
-        t = am - b2[i - 1] / d
-        eps = _EPS * (1.0 + np.abs(am) + b2[i - 1])
+    for a, b2 in zip(cols[1:], b2cols):
+        am = a - shifts
+        t = am - b2 / d
+        eps = _EPS * (1.0 + np.abs(am) + b2)
         d = np.where(np.abs(t) < eps, -eps, t)
         count += d < 0
     return count
+
+
+def _bisect(diags, b2s, lo, hi, targets, tol):
+    """Per-lane bisection for the targets-th eigenvalue (1-based, ascending).
+
+    lo and hi bracket each lane, shape (r,) or (r, k) as the shifts of
+    `_sturm_counts`; targets broadcasts against them.  Returns the midpoints
+    of the final brackets and the number of Sturm sweeps.
+    """
+    iterations = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = ((hi - lo) > tol) & (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid, iterations
+        reached = _sturm_counts(diags, b2s, mid) >= targets
+        hi = np.where(active & reached, mid, hi)
+        lo = np.where(active & ~reached, mid, lo)
+        iterations += 1
 
 
 def sturm_count(tri: TridiagonalMatrix, x: float) -> int:
-    """Number of eigenvalues of tri strictly less than x."""
-    diag, offdiag = _as_arrays(tri)
-    return int(sturm_counts(diag, offdiag, float(x))[0])
+    """Number of eigenvalues of tri at or below x.
 
-
-def gershgorin(tri: TridiagonalMatrix) -> tuple[float, float]:
-    """Interval [lo, hi] containing the whole spectrum."""
-    diag, offdiag = _as_arrays(tri)
-    r = np.zeros_like(diag)
-    r[:-1] += np.abs(offdiag)
-    r[1:] += np.abs(offdiag)
-    return float(np.min(diag - r)), float(np.max(diag + r))
-
-
-def default_tol(lo: float, hi: float) -> float:
-    return 1e-10 * max(1.0, hi - lo)
-
-
-def _bisect_extreme_batch(diags, b2s, lo, hi, tol, which):
-    """Per-lane bisection for the largest (or smallest) eigenvalue.
-
-    Lanes stop updating once their own bracket width reaches tol, which keeps
-    every lane's trajectory independent of batch composition.
+    A shift exactly on an eigenvalue counts it: for [[0, 1], [1, 0]] the
+    count is 1 at x = -1 and 2 at x = 1.
     """
-    n = diags.shape[1]
-    lo = lo.copy()
-    hi = hi.copy()
-    iterations = 0
-    while True:
-        active = (hi - lo) > tol
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        cnt = _batch_counts(diags, b2s, mid)
-        if which == "max":
-            go_up = cnt < n  # some eigenvalue >= mid
-        else:
-            go_up = cnt < 1  # no eigenvalue < mid
-        lo = np.where(active & go_up, mid, lo)
-        hi = np.where(active & ~go_up, mid, hi)
-        iterations += 1
-    return 0.5 * (lo + hi), iterations
-
-
-def _batch_counts(diags, b2s, shifts) -> np.ndarray:
-    """Sturm counts for a batch of matrices, one shift per matrix (lane)."""
-    x = shifts
-    t = diags[:, 0] - x
-    eps = _EPS * (1.0 + np.abs(t))
-    d = np.where(np.abs(t) < eps, -eps, t)
-    count = (d < 0).astype(np.int64)
-    for i in range(1, diags.shape[1]):
-        am = diags[:, i] - x
-        t = am - b2s[:, i - 1] / d
-        eps = _EPS * (1.0 + np.abs(am) + b2s[:, i - 1])
-        d = np.where(np.abs(t) < eps, -eps, t)
-        count += d < 0
-    return count
+    diags, offdiags = _as_batch(tri)
+    return int(_sturm_counts(diags, offdiags**2, np.array([float(x)]))[0])
 
 
 def batch_gershgorin(diags, offdiags):
@@ -124,116 +105,69 @@ def batch_gershgorin(diags, offdiags):
     return (diags - r).min(axis=1), (diags + r).max(axis=1)
 
 
+def gershgorin(tri: TridiagonalMatrix) -> tuple[float, float]:
+    """Interval [lo, hi] containing the whole spectrum."""
+    lo, hi = batch_gershgorin(*_as_batch(tri))
+    return float(lo[0]), float(hi[0])
+
+
+def default_tol(lo: float, hi: float) -> float:
+    return 1e-10 * max(1.0, hi - lo)
+
+
+def _setup(diags, offdiags, tol):
+    """Float arrays, squared off-diagonals, Gershgorin brackets and tol."""
+    if tol is not None and tol <= 0:
+        raise ValueError("tol must be positive")
+    diags = np.asarray(diags, float)
+    offdiags = np.asarray(offdiags, float)
+    lo, hi = batch_gershgorin(diags, offdiags)
+    if tol is None:
+        tol = default_tol(float(lo.min()), float(hi.max()))
+    return diags, offdiags**2, lo, hi, tol
+
+
 def lambda_max_batch(diags, offdiags, tol: float | None = None) -> np.ndarray:
     """Largest eigenvalue of each matrix in a (replicas, n) batch."""
-    diags = np.asarray(diags, float)
-    b2s = np.asarray(offdiags, float) ** 2
-    lo, hi = batch_gershgorin(diags, offdiags)
-    if tol is None:
-        tol = default_tol(float(lo.min()), float(hi.max()))
-    vals, _ = _bisect_extreme_batch(diags, b2s, lo, hi, tol, "max")
-    return vals
-
-
-def lambda_min_batch(diags, offdiags, tol: float | None = None) -> np.ndarray:
-    diags = np.asarray(diags, float)
-    b2s = np.asarray(offdiags, float) ** 2
-    lo, hi = batch_gershgorin(diags, offdiags)
-    if tol is None:
-        tol = default_tol(float(lo.min()), float(hi.max()))
-    vals, _ = _bisect_extreme_batch(diags, b2s, lo, hi, tol, "min")
-    return vals
+    diags, b2s, lo, hi, tol = _setup(diags, offdiags, tol)
+    return _bisect(diags, b2s, lo, hi, diags.shape[1], tol)[0]
 
 
 def lambda_max(tri: TridiagonalMatrix, tol: float | None = None) -> float:
     """Largest eigenvalue via Sturm bisection; |result - true| <= tol."""
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
-    diag, offdiag = _as_arrays(tri)
-    return float(lambda_max_batch(diag[None, :], offdiag[None, :], tol)[0])
+    return float(lambda_max_batch(*_as_batch(tri), tol)[0])
 
 
-def lambda_min(tri: TridiagonalMatrix, tol: float | None = None) -> float:
-    """Smallest eigenvalue via Sturm bisection."""
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
-    diag, offdiag = _as_arrays(tri)
-    return float(lambda_min_batch(diag[None, :], offdiag[None, :], tol)[0])
+def _spectra(diags, offdiags, tol):
+    """Sorted (replicas, n) spectra, the tol used and the Sturm sweep count.
+
+    The k-th eigenvalue (k = 1..n) is located where the Sturm count first
+    reaches k; the n bisections of a matrix run in lockstep.
+    """
+    diags, b2s, lo, hi, tol = _setup(diags, offdiags, tol)
+    n = diags.shape[1]
+    lo = np.repeat(lo[:, None], n, axis=1)
+    hi = np.repeat(hi[:, None], n, axis=1)
+    vals, iterations = _bisect(diags, b2s, lo, hi, np.arange(1, n + 1), tol)
+    return np.sort(vals, axis=1), tol, iterations
 
 
 def full_spectrum(tri: TridiagonalMatrix, tol: float | None = None) -> SpectrumResult:
-    """All n eigenvalues by per-index bisection, sorted nondecreasing.
-
-    The k-th eigenvalue (k = 1..n) is located where the Sturm count first
-    reaches k; the n independent bisections run in lockstep over a shared
-    shift vector.
-    """
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
-    diag, offdiag = _as_arrays(tri)
-    glo, ghi = gershgorin(tri)
-    if tol is None:
-        tol = default_tol(glo, ghi)
-    n = diag.size
-    targets = np.arange(1, n + 1)
-    lo = np.full(n, glo)
-    hi = np.full(n, ghi)
-    iterations = 0
-    while True:
-        active = (hi - lo) > tol
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        cnt = sturm_counts(diag, offdiag, mid)
-        reached = cnt >= targets  # k-th eigenvalue lies below mid
-        hi = np.where(active & reached, mid, hi)
-        lo = np.where(active & ~reached, mid, lo)
-        iterations += 1
-    vals = np.sort(0.5 * (lo + hi))
-    return SpectrumResult(eigenvalues=vals, tol=tol, iterations=iterations)
+    """All n eigenvalues by per-index bisection, sorted nondecreasing."""
+    vals, tol, iterations = _spectra(*_as_batch(tri), tol)
+    return SpectrumResult(eigenvalues=vals[0], tol=tol, iterations=iterations)
 
 
 def batch_spectra(diags, offdiags, tol: float | None = None) -> np.ndarray:
     """Full spectra for a (replicas, n) batch; returns (replicas, n) sorted."""
-    diags = np.asarray(diags, float)
-    offdiags = np.asarray(offdiags, float)
-    b2s = offdiags**2
-    r, n = diags.shape
-    glo, ghi = batch_gershgorin(diags, offdiags)
-    if tol is None:
-        tol = default_tol(float(glo.min()), float(ghi.max()))
-    targets = np.broadcast_to(np.arange(1, n + 1), (r, n))
-    lo = np.repeat(glo[:, None], n, axis=1)
-    hi = np.repeat(ghi[:, None], n, axis=1)
-    d0 = diags[:, 0][:, None]
-    while True:
-        active = (hi - lo) > tol
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        t = d0 - mid
-        eps = _EPS * (1.0 + np.abs(t))
-        d = np.where(np.abs(t) < eps, -eps, t)
-        cnt = (d < 0).astype(np.int64)
-        for i in range(1, n):
-            am = diags[:, i][:, None] - mid
-            bb = b2s[:, i - 1][:, None]
-            t = am - bb / d
-            eps = _EPS * (1.0 + np.abs(am) + bb)
-            d = np.where(np.abs(t) < eps, -eps, t)
-            cnt += d < 0
-        reached = cnt >= targets
-        hi = np.where(active & reached, mid, hi)
-        lo = np.where(active & ~reached, mid, lo)
-    return np.sort(0.5 * (lo + hi), axis=1)
+    return _spectra(diags, offdiags, tol)[0]
 
 
 def counts_abs_at_or_above(diags, offdiags, t: float) -> np.ndarray:
     """Per-matrix number of eigenvalues with |lambda| >= t, via two counts."""
     diags = np.asarray(diags, float)
     b2s = np.asarray(offdiags, float) ** 2
-    n = diags.shape[1]
     tt = np.full(diags.shape[0], float(t))
-    above = n - _batch_counts(diags, b2s, tt)
-    below = _batch_counts(diags, b2s, -tt)
+    above = diags.shape[1] - _sturm_counts(diags, b2s, tt)
+    below = _sturm_counts(diags, b2s, -tt)
     return above + below

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,8 @@ class ExperimentConfig:
     t_grid: tuple = ()
     m_grid: tuple = ()
     master_seed: int = 20260101
+    # final bisection bracket width; one below the float spacing stops at
+    # adjacent doubles
     solver_tol: float = 1e-12
     workers: int = 1
     plus_one_alpha: bool = False

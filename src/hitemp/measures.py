@@ -9,7 +9,6 @@ crossing point, if any, is located by monotone bisection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -29,7 +33,12 @@ def test_sturm_count_outside_gershgorin():
 
 
 def test_sturm_count_two_by_two():
-    assert eig.sturm_count(tri([0.0, 0.0], [1.0]), 0.0) == 1  # eigenvalues +-1
+    t = tri([0.0, 0.0], [1.0])  # eigenvalues +-1
+    assert eig.sturm_count(t, 0.0) == 1
+    # a shift exactly on an eigenvalue gives the "<= x" count
+    assert eig.sturm_count(t, -1.0) == 1
+    assert eig.sturm_count(t, 1.0) == 2
+    assert eig.sturm_count(tri([1.0, 2.0, 3.0], [0.0, 0.0]), 2.0) == 2
 
 
 def test_sturm_count_stability_at_coincident_shift():
@@ -48,14 +57,12 @@ def test_gershgorin_examples():
 
 def test_lambda_max_two_by_two():
     assert eig.lambda_max(tri([0.0, 0.0], [1.0]), 1e-12) == pytest.approx(1.0, abs=1e-12)
-    assert eig.lambda_min(tri([0.0, 0.0], [1.0]), 1e-12) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_lambda_max_three_by_three():
     # characteristic polynomial lambda^3 - 2 lambda = 0 -> extremes +-sqrt(2)
     t = tri([0.0, 0.0, 0.0], [1.0, 1.0])
     assert eig.lambda_max(t, 1e-12) == pytest.approx(math.sqrt(2), abs=1e-11)
-    assert eig.lambda_min(t, 1e-12) == pytest.approx(-math.sqrt(2), abs=1e-11)
 
 
 def test_lambda_max_matches_charpoly_oracle():
@@ -162,10 +169,13 @@ def test_batch_matches_scalar_paths():
     offs = np.abs(rng.normal(size=(6, 11)))
     lm = eig.lambda_max_batch(diags, offs, 1e-11)
     spectra = eig.batch_spectra(diags, offs, 1e-11)
+    counts = {s: eig.counts_abs_at_or_above(diags, offs, s) for s in (0.5, 1.5, 2.5)}
     for i in range(6):
         t = tri(diags[i], offs[i])
         assert lm[i] == eig.lambda_max(t, 1e-11)
         assert np.array_equal(spectra[i], eig.full_spectrum(t, 1e-11).eigenvalues)
+        for s, c in counts.items():
+            assert c[i] == t.n - eig.sturm_count(t, s) + eig.sturm_count(t, -s)
 
 
 def test_batch_lane_independence():
@@ -185,3 +195,37 @@ def test_counts_abs_at_or_above():
     assert eig.counts_abs_at_or_above(d, o, 2.5)[0] == 1
     assert eig.counts_abs_at_or_above(d, o, 0.5)[0] == 3
     assert eig.counts_abs_at_or_above(d, o, 10.0)[0] == 0
+
+
+_BELOW_FLOAT_SPACING = textwrap.dedent("""
+    import sys
+    import numpy as np
+    from hitemp import eig
+    from hitemp.acceptance import charpoly_eigenvalues
+    from hitemp.model import make_params
+    from hitemp.sampler import SeededStream, TridiagonalMatrix, dump_matrix, sample_matrix
+
+    t = TridiagonalMatrix(np.array([0.3, 1.7, -0.4]), np.array([1.0, 0.5]))
+    got = eig.full_spectrum(t, 1e-17).eigenvalues
+    assert np.max(np.abs(got - charpoly_eigenvalues(t.diag, t.offdiag))) <= 1e-12
+    mats = [sample_matrix(make_params(40, 0.3), SeededStream(3, r)) for r in range(4)]
+    diags = np.array([m.diag for m in mats])
+    offs = np.array([m.offdiag for m in mats])
+    got = eig.lambda_max_batch(diags, offs, 1e-300)
+    assert np.max(np.abs(got - eig.lambda_max_batch(diags, offs, 1e-12))) <= 1e-11
+    dump_matrix(mats[0], sys.argv[1])
+""")
+
+
+def test_tol_below_float_spacing_terminates(tmp_path):
+    # a tol no bracket of doubles can reach must stop at adjacent doubles; run
+    # in a child process so that a solver that never stops fails on a timeout
+    src = os.path.dirname(os.path.dirname(eig.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    dump = str(tmp_path / "m.txt")
+    solver = subprocess.run([sys.executable, "-c", _BELOW_FLOAT_SPACING, dump], env=env, timeout=60)
+    assert solver.returncode == 0
+    cli = subprocess.run([sys.executable, "-m", "hitemp.cli", "eig", "--matrix", dump, "--tol", "1e-17"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert cli.returncode == 0
+    assert len(cli.stdout.split()) == 40
