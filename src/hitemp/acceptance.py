@@ -37,7 +37,7 @@ class CriterionResult:
 
 
 def _result(index, name, passed, detail, t0) -> CriterionResult:
-    return CriterionResult(index, name, bool(passed), detail, time.time() - t0)
+    return CriterionResult(index, name, bool(passed), detail, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def log_z3_hermite_oracle(alpha: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def criterion_1_rate_exactness(**_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     ok = rate_J(2.0) == 0.0
     worst = 0.0
     for x in (2.01, 2.5, 3.0, 5.0):
@@ -117,7 +117,7 @@ def criterion_1_rate_exactness(**_) -> CriterionResult:
 
 
 def criterion_2_selberg(**_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     gauss_gap = max(abs(log_Z(1, a, b) - 0.5 * math.log(2.0 * math.pi / a))
                     for a, b in ((1.0, 1.0), (5.0, 0.1)))
     quad_gap = abs(log_Z(2, 2.0, 1.0) - log_z2_quadrature_oracle(2.0, 1.0))
@@ -127,7 +127,7 @@ def criterion_2_selberg(**_) -> CriterionResult:
 
 
 def criterion_3_ratio_asymptotics(**_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     gaps = {"shift": [], "perturbed": []}
     for n in (10**3, 10**4, 10**5, 10**6):
         beta = 1.0 / math.log(n) ** 2
@@ -143,7 +143,7 @@ def criterion_3_ratio_asymptotics(**_) -> CriterionResult:
 
 
 def criterion_4_eigensolver_oracle(**_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=40404))
     worst_eig = 0.0
     count_mismatches = 0
@@ -170,7 +170,7 @@ def criterion_4_eigensolver_oracle(**_) -> CriterionResult:
 
 
 def criterion_5_trace_identity(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     replicas = 200 if quick else 2000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(500,), replicas=replicas,
@@ -184,7 +184,7 @@ def criterion_5_trace_identity(workers=1, quick=False, **_) -> CriterionResult:
 
 
 def criterion_6_convergence(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     replicas = 100 if quick else 500
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.1), n_values=(500, 2000), replicas=replicas,
@@ -200,7 +200,7 @@ def criterion_6_convergence(workers=1, quick=False, **_) -> CriterionResult:
 
 
 def criterion_7_ldp_rate(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     replicas = 5000 if quick else 100_000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(200, 400), replicas=replicas,
@@ -217,7 +217,7 @@ def criterion_7_ldp_rate(workers=1, quick=False, **_) -> CriterionResult:
 
 
 def criterion_8_tail_bound(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     replicas = 5000 if quick else 100_000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.2), n_values=(50,), replicas=replicas,
@@ -230,7 +230,7 @@ def criterion_8_tail_bound(workers=1, quick=False, **_) -> CriterionResult:
 
 
 def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     replicas = 6 if quick else 50
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.1), n_values=(250, 1000, 4000), replicas=replicas,
@@ -245,7 +245,7 @@ def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CriterionResult:
 
 
 def criterion_10_property_suite(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=101010))
 
     triples = 10_000 if quick else 100_000

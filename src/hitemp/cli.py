@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"hitemp: error: {exc}", file=sys.stderr)
         return 2
 

@@ -135,4 +135,7 @@ class RegimeSchedule:
 
     @staticmethod
     def from_dict(d: dict) -> "RegimeSchedule":
+        missing = [key for key in ("name", "kind", "c") if key not in d]
+        if missing:
+            raise ValueError(f"schedule lacks key(s) {', '.join(map(repr, missing))}")
         return RegimeSchedule(d["name"], d["kind"], float(d["c"]), float(d.get("exponent", 0.0)))

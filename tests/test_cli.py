@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hitemp import eig
+from hitemp import cli, eig
 from hitemp.cli import main
 from hitemp.sampler import load_matrix
 
@@ -158,6 +158,20 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("sweep", "--schedule", "upward", "--n", "50", "--x", "2.3") == 2
     assert run_cli("sample", "--n", "1", "--beta", "0.5",
                    "--out", str(tmp_path / "m.txt")) == 2  # n >= 2
+
+
+def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"schedule": {"name": "c", "c": 0.1}, "n_values": [60]}))
+    assert run_cli("sweep", "--config", str(config), "--x", "2.3") == 2
+    assert "schedule lacks key(s) 'kind'" in capsys.readouterr().err
+
+    # a KeyError inside a handler is a bug, not a usage error
+    def broken(args):
+        raise KeyError("internal")
+    monkeypatch.setattr(cli, "_cmd_rate", broken)
+    with pytest.raises(KeyError):
+        run_cli("rate", "--x", "2.5")
 
 
 def test_inf_and_nan_markers_render(tmp_path):

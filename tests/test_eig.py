@@ -188,6 +188,84 @@ def test_batch_lane_independence():
     assert full[2] == solo[0]
 
 
+def _sampled_batch(r, n, seed):
+    mats = [sample_matrix(make_params(n, 0.2), SeededStream(seed, i)) for i in range(r)]
+    return np.array([m.diag for m in mats]), np.array([m.offdiag for m in mats])
+
+
+def _normal_batch(r, n, key):
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.normal(size=(r, n)), np.abs(rng.normal(size=(r, n - 1)))
+
+
+@pytest.mark.parametrize("diags, offs, row, tol", [
+    (*_normal_batch(5, 9, 78), 2, 1e-11),
+    # 300 rows settle one level per Sturm sweep, the solo row eight
+    (*_sampled_batch(300, 20, 79), 123, 1e-11),
+    # the default tol comes from each matrix's own Gershgorin bracket
+    ([[0.0, 0.1, 0.2], [5.0, -5.0, 0.0]], [[1.0, 0.5], [0.3, 0.2]], 0, None),
+])
+def test_batch_lane_independence_all_entry_points(diags, offs, row, tol):
+    # a lane's result must not depend on what else is in the batch
+    diags, offs = np.asarray(diags), np.asarray(offs)
+    solo = (diags[row:row + 1], offs[row:row + 1], tol)
+    assert eig.lambda_max_batch(diags, offs, tol)[row] == eig.lambda_max_batch(*solo)[0]
+    assert np.array_equal(eig.batch_spectra(diags, offs, tol)[row], eig.batch_spectra(*solo)[0])
+
+
+def _bisect_one_level(diags, b2s, lo, hi, targets, tol):
+    """One bisection level per Sturm sweep: the reference for `eig._bisect`."""
+    iterations = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = ((hi - lo) > tol) & (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid, iterations
+        reached = eig._sturm_counts(diags, b2s, mid) >= targets
+        hi = np.where(active & reached, mid, hi)
+        lo = np.where(active & ~reached, mid, lo)
+        iterations += 1
+
+
+def _check_against_one_level(diags, offs, tol):
+    d, b2s, lo, hi, lane_tol = eig._setup(diags, offs, tol)
+    n = d.shape[1]
+    lm_args = (lo, hi, n, lane_tol)
+    sp_args = (np.repeat(lo[:, None], n, axis=1), np.repeat(hi[:, None], n, axis=1),
+               np.arange(1, n + 1), lane_tol[:, None])
+    lm, lm_levels = _bisect_one_level(d, b2s, *lm_args)
+    spectra, sp_levels = _bisect_one_level(d, b2s, *sp_args)
+    spectra = np.sort(spectra, axis=1)
+    assert eig._bisect(d, b2s, *lm_args)[1] == lm_levels
+    assert eig._bisect(d, b2s, *sp_args)[1] == sp_levels
+    assert np.array_equal(eig.lambda_max_batch(diags, offs, tol), lm)
+    assert np.array_equal(eig.batch_spectra(diags, offs, tol), spectra)
+    if len(d) == 1:
+        got = eig.full_spectrum(tri(d[0], offs[0]), tol)
+        assert np.array_equal(got.eigenvalues, spectra[0]) and got.iterations == sp_levels
+
+
+@pytest.mark.parametrize("r", [1, 3, 40])
+@pytest.mark.parametrize("n", [50, 400])
+def test_multisection_matches_one_level_bisection(r, n):
+    # several levels per sweep must give the bit-identical values and level counts
+    _check_against_one_level(*_sampled_batch(r, n, 11 + r), 1e-12)
+    if n == 50:
+        _check_against_one_level(*_sampled_batch(r, n, 11 + r), None)
+
+
+@pytest.mark.parametrize("tol", [1e-12, None, 1e-300])
+def test_multisection_matches_one_level_on_repeated_eigenvalues(tol):
+    # lanes of a repeated eigenvalue share a bracket to the end
+    _check_against_one_level(np.array([[1.0, 1.0, 1.0, 2.0]]), np.zeros((1, 3)), tol)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_multisection_matches_one_level_below_float_spacing(r):
+    # a tol no bracket can reach: lanes stop at adjacent doubles, not all at once
+    _check_against_one_level(*_sampled_batch(r, 12, 13), 1e-300)
+
+
 def test_counts_abs_at_or_above():
     t = tri([1.0, 2.0, 3.0], [0.0, 0.0])
     d = t.diag[None, :]
