@@ -2,7 +2,7 @@
 bisection spectra, rate-function analytics, Selberg partition asymptotics and
 desk-scale large-deviations experiments."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .analytic import (  # noqa: F401
     SEMICIRCLE,

@@ -18,6 +18,7 @@ import sys
 from . import __version__
 from .analytic import evaluate_rate
 from .experiments import (
+    STREAM_CONTRACT,
     ExperimentConfig,
     run_esd_check,
     run_tail_sweep,
@@ -143,6 +144,7 @@ def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
     manifest = {
         "tool_version": __version__,
         "master_seed": cfg.master_seed,
+        "stream_contract": STREAM_CONTRACT,
         "timestamp": datetime.datetime.now(tz=datetime.timezone.utc).isoformat(),
         "config": cfg.to_dict(),
         "outputs": [o for o in outputs if o not in (None, "-")],

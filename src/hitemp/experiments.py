@@ -3,9 +3,10 @@ largest-particle concentration at 2, the empirical tail rate against the rate
 function, the partition-function tail bound, the trace identity, an
 exponential-tightness scan, and empirical-measure convergence.
 
-Replica r always consumes stream_index = r of the cell's master seed, chunks
-are a fixed function of (replicas, n), and every lane of the batched solver
-stops on its own bracket, so outputs are byte-identical for any worker count.
+Replica r always consumes stream_index = r of the cell's seed, chunks are a
+fixed function of (replicas, n), and every lane of the batched solver stops on
+its own bracket, so outputs are byte-identical for any worker count.  All
+cells of a campaign are gathered through one process pool.
 """
 
 from __future__ import annotations
@@ -21,10 +22,16 @@ from .analytic import energy_I, rate_J
 from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle
 from .model import EnsembleParams, RegimeSchedule, make_params
 from .partition import log_tail_bound
-from .sampler import SeededStream, sample_matrix
+from .sampler import _U64, SeededStream, sample_matrix
 
 _CHUNK_ELEMS = 2_000_000
 _MIN_TASKS = 8  # worker-count independent task granularity
+
+# recorded in run manifests; outputs under another contract are not comparable
+STREAM_CONTRACT = (
+    "cell key = SeedSequence((master_seed mod 2^64, n)).generate_state(1, uint64)[0]; "
+    "replica r = Philox(key = cell key + r * 2^64); per matrix: standard_normal(n), "
+    "standard_gamma(j*beta/2 + 1) for j = n-1..1, random(n-1)")
 
 
 @dataclass(frozen=True)
@@ -62,8 +69,12 @@ class ExperimentConfig:
         return make_params(n, self.schedule.beta(n), plus_one_alpha=self.plus_one_alpha)
 
     def cell_seed(self, n: int) -> int:
-        # distinct Philox key block per ensemble size within one campaign
-        return (self.master_seed + n) & ((1 << 64) - 1)
+        # a 64-bit hash of (master_seed, n); master_seed + n gave seed 1 at
+        # n=400 and seed 201 at n=200 the same key.  Called in the worker
+        # tasks, not the campaign process: the first SeedSequence imports
+        # numpy.random, about 5.6 MB of RSS
+        seq = np.random.SeedSequence((self.master_seed & _U64, n))
+        return int(seq.generate_state(1, np.uint64)[0])
 
     def to_dict(self) -> dict:
         return {
@@ -111,9 +122,10 @@ def _chunks(replicas: int, n: int):
     return [(s, min(size, replicas - s)) for s in range(0, replicas, size)]
 
 
-def _sample_block(params: EnsembleParams, seed: int, start: int, count: int):
-    diags = np.empty((count, params.n))
-    offs = np.empty((count, params.n - 1))
+def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
+    params, seed = cfg.params_for(n), cfg.cell_seed(n)
+    diags = np.empty((count, n))
+    offs = np.empty((count, n - 1))
     for j in range(count):
         m = sample_matrix(params, SeededStream(seed, start + j))
         diags[j] = m.diag
@@ -121,37 +133,35 @@ def _sample_block(params: EnsembleParams, seed: int, start: int, count: int):
     return diags, offs
 
 
-def _task_lambda_max(args):
-    params, seed, start, count, tol = args
-    diags, offs = _sample_block(params, seed, start, count)
-    return eig.lambda_max_batch(diags, offs, tol)
+# A task is (cfg, n, start, count): replicas start..start+count-1 of size n.
+
+def _task_lambda_max(task):
+    diags, offs = _sample_block(*task)
+    return eig.lambda_max_batch(diags, offs, task[0].solver_tol)
 
 
-def _task_second_moment(args):
-    params, seed, start, count = args
-    diags, offs = _sample_block(params, seed, start, count)
-    return (np.sum(diags**2, axis=1) + 2.0 * np.sum(offs**2, axis=1)) / params.n
+def _task_moments(task):
+    """Per replica, (1/n) sum lambda_i^2 by the trace identity and
+    (1/n) sum lambda_i = (1/n) trace, as two columns."""
+    n = task[1]
+    diags, offs = _sample_block(*task)
+    second = (np.sum(diags**2, axis=1) + 2.0 * np.sum(offs**2, axis=1)) / n
+    return np.column_stack((second, np.mean(diags, axis=1)))
 
 
-def _task_first_moment(args):
-    params, seed, start, count = args
-    diags, _ = _sample_block(params, seed, start, count)
-    return np.mean(diags, axis=1)  # (1/n) sum lambda_i = (1/n) trace
-
-
-def _task_abs_tail(args):
-    params, seed, start, count, t_grid = args
-    diags, offs = _sample_block(params, seed, start, count)
-    out = np.empty((count, len(t_grid)))
-    for j, t in enumerate(t_grid):
-        out[:, j] = eig.counts_abs_at_or_above(diags, offs, t) / params.n
+def _task_abs_tail(task):
+    cfg, n, _, count = task
+    diags, offs = _sample_block(*task)
+    out = np.empty((count, len(cfg.t_grid)))
+    for j, t in enumerate(cfg.t_grid):
+        out[:, j] = eig.counts_abs_at_or_above(diags, offs, t) / n
     return out
 
 
-def _task_measure_stats(args):
-    params, seed, start, count, tol = args
-    diags, offs = _sample_block(params, seed, start, count)
-    spectra = eig.batch_spectra(diags, offs, tol)
+def _task_measure_stats(task):
+    cfg, _, _, count = task
+    diags, offs = _sample_block(*task)
+    spectra = eig.batch_spectra(diags, offs, cfg.solver_tol)
     out = np.empty((count, 4))
     for j in range(count):
         mu = DiscreteMeasure(spectra[j])
@@ -162,23 +172,19 @@ def _task_measure_stats(args):
     return out
 
 
-def _pmap(fn, tasks, workers: int):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _gather(fn, tasks, workers: int) -> np.ndarray:
-    return np.concatenate(_pmap(fn, tasks, workers), axis=0)
+def _gather(fn, cfg: ExperimentConfig, n_values) -> list:
+    """fn over the replica chunks of each n in n_values: one array per n, rows
+    in replica order.  All chunks of the call share one process pool."""
+    cells = [[(cfg, n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
+    if cfg.workers <= 1 or max(map(len, cells)) <= 1:
+        return [np.concatenate([fn(t) for t in tasks]) for tasks in cells]
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        return [np.concatenate(list(pool.map(fn, tasks))) for tasks in cells]
 
 
 def lambda_max_sample(cfg: ExperimentConfig, n: int) -> np.ndarray:
     """Per-replica largest eigenvalues for one ensemble size, replica order."""
-    params = cfg.params_for(n)
-    seed = cfg.cell_seed(n)
-    tasks = [(params, seed, s, c, cfg.solver_tol) for s, c in _chunks(cfg.replicas, n)]
-    return _gather(_task_lambda_max, tasks, cfg.workers)
+    return _gather(_task_lambda_max, cfg, (n,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +217,9 @@ def run_moment_check(cfg: ExperimentConfig) -> MomentReport:
     tridiagonal realization; the exact expectation is (1 + beta*(n-1)/2)/alpha.
     """
     rows, first_rows, checks = [], [], []
-    for n in cfg.n_values:
+    for n, cell in zip(cfg.n_values, _gather(_task_moments, cfg, cfg.n_values)):
+        vals, firsts = cell.T
         params = cfg.params_for(n)
-        seed = cfg.cell_seed(n)
-        tasks = [(params, seed, s, c) for s, c in _chunks(cfg.replicas, n)]
-        vals = _gather(_task_second_moment, tasks, cfg.workers)
         exact = (1.0 + params.beta * (n - 1) / 2.0) / params.alpha
         mean = float(vals.mean())
         stderr = float(vals.std(ddof=1) / math.sqrt(cfg.replicas))
@@ -225,7 +229,6 @@ def run_moment_check(cfg: ExperimentConfig) -> MomentReport:
             f"second_moment_within_4_stderr[n={n}]", abs(z) <= 4.0,
             f"mean={mean:.6g} exact={exact:.6g} z={z:.2f}"))
 
-        firsts = _gather(_task_first_moment, tasks, cfg.workers)
         fmean = float(firsts.mean())
         fse = float(firsts.std(ddof=1) / math.sqrt(cfg.replicas))
         fz = fmean / fse if fse > 0 else 0.0
@@ -273,9 +276,8 @@ def run_tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
     if any(x <= 2.0 for x in cfg.x_grid):
         raise ValueError("x_grid values must exceed the bulk edge 2")
     rows = []
-    for n in cfg.n_values:
+    for n, lam in zip(cfg.n_values, _gather(_task_lambda_max, cfg, cfg.n_values)):
         beta = cfg.schedule.beta(n)
-        lam = lambda_max_sample(cfg, n)
         nb = n * beta
         for x in cfg.x_grid:
             p_hat = float(np.mean(lam >= x))
@@ -312,9 +314,8 @@ def run_convergence_check(cfg: ExperimentConfig,
                           eps_values=(0.1, 0.15, 0.2)) -> ConvergenceReport:
     """Concentration of lambda_max at the bulk edge 2 along the schedule."""
     rows = []
-    for n in cfg.n_values:
+    for n, lam in zip(cfg.n_values, _gather(_task_lambda_max, cfg, cfg.n_values)):
         beta = cfg.schedule.beta(n)
-        lam = lambda_max_sample(cfg, n)
         fr = {eps: float(np.mean(np.abs(lam - 2.0) > eps)) for eps in eps_values}
         rows.append(ConvergenceRow(n, beta, float(np.median(lam)), fr))
     checks = []
@@ -359,11 +360,8 @@ def run_tailbound_check(cfg: ExperimentConfig) -> TailboundReport:
     if not cfg.t_grid:
         raise ValueError("tail-bound check needs a nonempty t_grid")
     rows, checks = [], []
-    for n in cfg.n_values:
+    for n, fracs in zip(cfg.n_values, _gather(_task_abs_tail, cfg, cfg.n_values)):
         params = cfg.params_for(n)
-        seed = cfg.cell_seed(n)
-        tasks = [(params, seed, s, c, cfg.t_grid) for s, c in _chunks(cfg.replicas, n)]
-        fracs = _gather(_task_abs_tail, tasks, cfg.workers)
         for j, t in enumerate(cfg.t_grid):
             col = fracs[:, j]
             q_hat = float(col.mean())
@@ -402,10 +400,9 @@ def run_tightness_scan(cfg: ExperimentConfig) -> TightnessReport:
     if not cfg.m_grid:
         raise ValueError("tightness scan needs a nonempty m_grid")
     rows, checks = [], []
-    for n in cfg.n_values:
+    for n, lam in zip(cfg.n_values, _gather(_task_lambda_max, cfg, cfg.n_values)):
         params = cfg.params_for(n)
         nb = n * params.beta
-        lam = lambda_max_sample(cfg, n)
         surr = []
         for M in cfg.m_grid:
             p_hat = float(np.mean(lam > M))
@@ -439,11 +436,8 @@ class EsdReport:
 def run_esd_check(cfg: ExperimentConfig) -> EsdReport:
     """Empirical-spectral-measure convergence diagnostics along the schedule."""
     rows = []
-    for n in cfg.n_values:
+    for n, stats in zip(cfg.n_values, _gather(_task_measure_stats, cfg, cfg.n_values)):
         params = cfg.params_for(n)
-        seed = cfg.cell_seed(n)
-        tasks = [(params, seed, s, c, cfg.solver_tol) for s, c in _chunks(cfg.replicas, n)]
-        stats = _gather(_task_measure_stats, tasks, cfg.workers)
         rows.append(EsdRow(
             n, params.beta,
             float(stats[:, 0].mean()), float(stats[:, 1].mean()),

@@ -4,8 +4,10 @@ The n-particle ensemble with scale alpha is realized as the symmetric
 tridiagonal matrix with diagonal g_i / sqrt(alpha), g_i ~ N(0,1), and
 off-diagonal X_{n-i} / sqrt(2*alpha), X_j ~ chi(j*beta), all entries
 independent.  In the high-temperature regime the chi shapes j*beta sit far
-below 1, so chi variates are produced in log space by an exact shape-boosted
-gamma sampler and only exponentiated when matrix entries are formed.
+below 1, so chi variates are produced in log space: numpy's C gamma sampler
+(Marsaglia-Tsang) draws G_{k/2+1}, whose shape is at least 1, and the exact
+shape boost log G_{k/2} = log G_{k/2+1} + (2/k) log U takes it down to k/2
+without underflow.  Entries are exponentiated only when the matrix is formed.
 """
 
 from __future__ import annotations
@@ -47,31 +49,6 @@ def gaussian(stream: SeededStream, size=None):
     return stream.rng.standard_normal(size)
 
 
-def _gamma_shape_ge_one(shape, rng) -> np.ndarray:
-    """Marsaglia-Tsang rejection sampler for Gamma(shape, 1), shape >= 1."""
-    shape = np.asarray(shape, dtype=float)
-    d = shape - 1.0 / 3.0
-    c = 1.0 / np.sqrt(9.0 * d)
-    out = np.empty(shape.shape, dtype=float)
-    pending = np.arange(out.size)
-    d_flat = d.ravel()
-    c_flat = c.ravel()
-    out_flat = out.ravel()
-    while pending.size:
-        x = rng.standard_normal(pending.size)
-        v = (1.0 + c_flat[pending] * x) ** 3
-        u = rng.random(pending.size)
-        ok = v > 0.0
-        quick = u < 1.0 - 0.0331 * x**4
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slow = np.log(u) < 0.5 * x * x + d_flat[pending] * (1.0 - v + np.log(np.where(ok, v, 1.0)))
-        accept = ok & (quick | slow)
-        idx = pending[accept]
-        out_flat[idx] = d_flat[idx] * v[accept]
-        pending = pending[~accept]
-    return out
-
-
 def log_chi(k, stream: SeededStream, size=None):
     """log of a chi(k) variate, exact for every shape k > 0.
 
@@ -87,7 +64,7 @@ def log_chi(k, stream: SeededStream, size=None):
         k_arr = np.broadcast_to(k_arr, (size,) if np.isscalar(size) else size)
     elif k_arr.ndim == 0:
         k_arr = k_arr.reshape(())
-    g_boost = _gamma_shape_ge_one(np.atleast_1d(k_arr) / 2.0 + 1.0, stream.rng)
+    g_boost = stream.rng.standard_gamma(np.atleast_1d(k_arr) / 2.0 + 1.0)
     # log U with U ~ Uniform(0,1]: log1p(-random()) never hits -inf
     log_u = np.log1p(-stream.rng.random(g_boost.shape))
     log_gamma_var = np.log(g_boost) + (2.0 / np.atleast_1d(k_arr)) * log_u
@@ -141,16 +118,31 @@ def sample_matrix(params: EnsembleParams, stream: SeededStream) -> TridiagonalMa
     """Draw one tridiagonal realization of the ensemble.
 
     diag[i] = g/sqrt(alpha); offdiag[0..n-2] = X_{n-1},...,X_1 scaled by
-    1/sqrt(2*alpha), with X_j ~ chi(j*beta).  Draw order (normals first,
-    then the chi block) is part of the reproducibility contract.
+    1/sqrt(2*alpha), with X_j ~ chi(j*beta).  The draw order (n normals, the
+    n-1 boosted gammas, then the n-1 uniforms) is part of the reproducibility
+    contract.  This is log_chi's arithmetic done in place on the output
+    arrays, without its shape checks (the shapes j*beta are positive by
+    construction), and bit-identical to building the matrix from log_chi.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
-    g = stream.rng.standard_normal(n)
-    diag = g / math.sqrt(alpha)
-    shapes = np.arange(n - 1, 0, -1, dtype=float) * beta
-    log_x = log_chi(shapes, stream)
-    offdiag = np.exp(log_x - 0.5 * math.log(2.0 * alpha))
-    return TridiagonalMatrix(diag, offdiag, validate=False)
+    rng = stream.rng
+    diag = rng.standard_normal(n)
+    np.divide(diag, math.sqrt(alpha), out=diag)
+    shapes = np.arange(n - 1, 0, -1, dtype=float)
+    shapes *= beta
+    off = rng.standard_gamma(shapes / 2.0 + 1.0)
+    log_u = rng.random(n - 1)
+    np.negative(log_u, out=log_u)
+    np.log1p(log_u, out=log_u)
+    np.divide(2.0, shapes, out=shapes)
+    log_u *= shapes
+    np.log(off, out=off)
+    off += log_u
+    off += math.log(2.0)
+    off *= 0.5
+    off -= 0.5 * math.log(2.0 * alpha)
+    np.exp(off, out=off)
+    return TridiagonalMatrix(diag, off, validate=False)
 
 
 def dump_matrix(tri: TridiagonalMatrix, path) -> None:
@@ -165,6 +157,8 @@ def load_matrix(path) -> TridiagonalMatrix:
     """Read a matrix written by dump_matrix."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().split("\n")
+    if len(lines) < 3:
+        raise ValueError(f"{path}: a matrix dump needs three lines: n, diag and offdiag")
     n = int(lines[0].strip())
     diag = np.array([float(v) for v in lines[1].split()], dtype=float)
     offdiag = np.array([float(v) for v in lines[2].split()], dtype=float)

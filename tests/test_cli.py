@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -91,6 +94,8 @@ def test_manifest_round_trip(tmp_path):
                    "--workers", "1", "--out", str(out1), "--manifest", str(manifest)) == 0
     meta = json.loads(manifest.read_text())
     assert meta["master_seed"] == 321
+    assert meta["tool_version"] == "0.2.0"
+    assert "SeedSequence((master_seed mod 2^64, n))" in meta["stream_contract"]
     assert meta["config"]["replicas"] == 50
     assert str(out1) in meta["outputs"]
     # replaying the manifest reproduces the run byte for byte
@@ -158,6 +163,31 @@ def test_usage_errors_exit_two(tmp_path):
     assert run_cli("sweep", "--schedule", "upward", "--n", "50", "--x", "2.3") == 2
     assert run_cli("sample", "--n", "1", "--beta", "0.5",
                    "--out", str(tmp_path / "m.txt")) == 2  # n >= 2
+
+
+def test_eig_on_header_only_dump_is_a_usage_error(tmp_path, capsys):
+    dump = tmp_path / "short.txt"
+    dump.write_text("3\n")
+    assert run_cli("eig", "--matrix", str(dump)) == 2
+    assert "hitemp: error:" in capsys.readouterr().err
+
+
+def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
+    # the cell keys are derived in the workers: the first SeedSequence would
+    # import numpy.random (about 5.6 MB) into the campaign process
+    code = (
+        "import sys\n"
+        "from hitemp.cli import main\n"
+        "rc = main(['tail', '--schedule', 'const', '--c', '0.2', '--n', '50', '--replicas', '400',\n"
+        "           '--t', '2.5', '--seed', '3', '--workers', '2', '--out', sys.argv[1]])\n"
+        "assert rc == 0, rc\n"
+        "assert 'numpy.random' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tail.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "tail.csv").read_text().count("\n") == 2
 
 
 def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):

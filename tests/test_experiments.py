@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hitemp import eig
+from hitemp import eig, experiments
 from hitemp.analytic import energy_I, rate_J
 from hitemp.experiments import (
     ExperimentConfig,
+    _sample_block,
     default_x_grid,
     lambda_max_sample,
     run_convergence_check,
@@ -42,6 +43,63 @@ def test_config_validation():
 def test_config_round_trip():
     cfg = cfg_with(x_grid=(2.2, 2.4), t_grid=(3.0,), m_grid=(3.0, 4.0))
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_cell_seeds_do_not_alias_across_campaigns():
+    # master_seed + n gave seed 1 at n=400 and seed 201 at n=200 the same key,
+    # hence the same first replica
+    a, b = cfg_with(master_seed=1), cfg_with(master_seed=201)
+    assert a.cell_seed(400) != b.cell_seed(200)
+    first_a = sample_matrix(a.params_for(400), SeededStream(a.cell_seed(400), 0))
+    first_b = sample_matrix(b.params_for(200), SeededStream(b.cell_seed(200), 0))
+    assert not np.array_equal(first_a.diag[:200], first_b.diag)
+    assert 0 <= a.cell_seed(400) < 2**64
+    # seeds are taken mod 2^64, as SeededStream takes them
+    assert cfg_with(master_seed=-1).cell_seed(50) == cfg_with(master_seed=2**64 - 1).cell_seed(50)
+
+
+def test_sample_block_rows_are_sample_matrix():
+    cfg = cfg_with(schedule=RegimeSchedule.constant(0.2), plus_one_alpha=True)
+    diags, offs = _sample_block(cfg, 30, 5, 4)
+    for j in range(4):
+        tri = sample_matrix(cfg.params_for(30), SeededStream(cfg.cell_seed(30), 5 + j))
+        assert np.array_equal(diags[j], tri.diag) and np.array_equal(offs[j], tri.offdiag)
+
+
+def _moment_rows_from_separate_blocks(cfg):
+    # the reference: each moment from its own pass over the replicas
+    rows = []
+    for n in cfg.n_values:
+        chunks = [_sample_block(cfg, n, s, c) for s, c in experiments._chunks(cfg.replicas, n)]
+        second = np.concatenate(
+            [(np.sum(d**2, axis=1) + 2.0 * np.sum(o**2, axis=1)) / n for d, o in chunks])
+        first = np.concatenate([np.mean(d, axis=1) for d, _ in chunks])
+        rows.append([(float(v.mean()), float(v.std(ddof=1) / math.sqrt(cfg.replicas)))
+                     for v in (second, first)])
+    return rows
+
+
+def test_moment_rows_match_separate_passes(workers):
+    cfg = cfg_with(n_values=(40, 90), replicas=20000, workers=workers)
+    report = run_moment_check(cfg)
+    got = [[(r.mean, r.stderr), (f.mean, f.stderr)]
+           for r, f in zip(report.rows, report.first_moment_rows)]
+    assert got == _moment_rows_from_separate_blocks(cfg)
+
+
+def test_one_process_pool_per_campaign(monkeypatch):
+    built = []
+
+    class CountingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2, x_grid=(2.3,), t_grid=(2.5,))
+    run_tail_sweep(cfg)
+    run_tailbound_check(cfg)
+    assert len(built) == 2
 
 
 def test_moment_check_canonical_alpha():

@@ -84,15 +84,17 @@ def test_log_chi_tiny_shape_stays_finite():
 
 
 def test_sample_matrix_entry_construction():
-    # n=2: entries are [g1, g2]/sqrt(alpha) on the diagonal and a chi(beta)
-    # variate scaled by 1/sqrt(2*alpha) off it, drawn normals-then-chi
-    params = make_params(2, 0.37)
-    tri = sample_matrix(params, SeededStream(77, 3))
-    twin = SeededStream(77, 3)
-    g = twin.rng.standard_normal(2)
-    lx = log_chi(np.array([0.37]), twin)
-    assert np.array_equal(tri.diag, g / math.sqrt(params.alpha))
-    assert np.array_equal(tri.offdiag, np.exp(lx - 0.5 * math.log(2 * params.alpha)))
+    # entries are g/sqrt(alpha) on the diagonal and chi(j*beta) variates,
+    # j = n-1..1, scaled by 1/sqrt(2*alpha) off it, drawn normals-then-chi;
+    # the in-place path must match the log_chi construction bit for bit
+    for n in (2, 50, 400):
+        params = make_params(n, 0.37)
+        tri = sample_matrix(params, SeededStream(77, 3))
+        twin = SeededStream(77, 3)
+        g = twin.rng.standard_normal(n)
+        lx = log_chi(np.arange(n - 1, 0, -1, dtype=float) * 0.37, twin)
+        assert np.array_equal(tri.diag, g / math.sqrt(params.alpha))
+        assert np.array_equal(tri.offdiag, np.exp(lx - 0.5 * math.log(2 * params.alpha)))
 
 
 def test_sample_matrix_bit_identical():
@@ -152,3 +154,11 @@ def test_dump_load_round_trip(tmp_path):
     assert np.array_equal(back.offdiag, tri.offdiag)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "12" and len(lines) == 3
+
+
+@pytest.mark.parametrize("text", ["3\n", "3\n1 2 3\n", ""], ids=["header", "no_offdiag", "empty"])
+def test_load_matrix_rejects_truncated_dump(tmp_path, text):
+    path = tmp_path / "short.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_matrix(path)
