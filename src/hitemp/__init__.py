@@ -24,9 +24,7 @@ from .partition import (  # noqa: F401
     exact_log_ratio_perturbed,
     exact_log_ratio_shift,
     log_Z,
-    log_gamma,
     log_tail_bound,
-    reg_incomplete_gamma,
     technical_gap,
 )
 from .sampler import SeededStream, TridiagonalMatrix, chi, gaussian, sample_matrix  # noqa: F401

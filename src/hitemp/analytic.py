@@ -171,13 +171,12 @@ def evaluate_rate(x: float, method: str = "closed_form",
     x = float(x)
     if method == "closed_form":
         phi_val = log_potential_semicircle(x) - x * x / 4.0
+        j = rate_J(x)  # algebraically simplified branch, exact at x = 2
     elif method == "quadrature":
         phi_val = log_potential_semicircle_quad(x, spec) - x * x / 4.0
+        j = math.inf if x < 2.0 else -phi_val - 0.5
     else:
         raise ValueError(f"unknown method {method!r}")
-    j = math.inf if x < 2.0 else -phi_val - 0.5
-    if method == "closed_form":
-        j = rate_J(x)  # algebraically simplified branch, exact at x = 2
     return RateEvaluation(x=x, J=j, phi=phi_val, method=method)
 
 

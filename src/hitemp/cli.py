@@ -84,7 +84,7 @@ def _schedule_from_args(args, config: dict) -> RegimeSchedule:
         raise ValueError("a --schedule is required (invlogsq, invlog, power, const)")
     c = args.c if args.c is not None else 1.0
     if name == "invlogsq":
-        return RegimeSchedule.inverse_log_power(c, 2.0, name="invlogsq")
+        return RegimeSchedule.inverse_log_squared(c)
     if name == "invlog":
         p = args.p if args.p is not None else 1.0
         return RegimeSchedule.inverse_log_power(c, p)
@@ -102,7 +102,9 @@ def _load_config_file(path) -> dict:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if "config" in data and isinstance(data["config"], dict):
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    if isinstance(data.get("config"), dict):
         return data["config"]  # a run manifest round-trips as a config
     return data
 
@@ -128,7 +130,6 @@ def _experiment_config(args) -> ExperimentConfig:
         replicas=int(pick(args.replicas, "replicas", 1000)),
         x_grid=tuple(pick(getattr(args, "x", None), "x_grid", ())),
         t_grid=tuple(pick(getattr(args, "t", None), "t_grid", ())),
-        m_grid=tuple(pick(getattr(args, "m_grid", None), "m_grid", ())),
         master_seed=int(pick(args.seed, "master_seed", 20260101)),
         solver_tol=float(pick(args.tol, "solver_tol", 1e-12)),
         workers=_resolve_workers(args.workers, config.get("workers")),
@@ -170,7 +171,7 @@ TOL_HELP = ("eigensolver tolerance: the final bisection bracket width; a tol bel
             "float spacing stops at adjacent doubles")
 
 
-def _add_experiment_flags(sp, with_x=False, with_t=False, with_m=False):
+def _add_experiment_flags(sp, with_x=False, with_t=False):
     sp.add_argument("--schedule", help="invlogsq | invlog | power | const")
     sp.add_argument("--c", type=float, help="schedule coefficient")
     sp.add_argument("--p", type=float, help="log-power exponent (invlog)")
@@ -189,8 +190,6 @@ def _add_experiment_flags(sp, with_x=False, with_t=False, with_m=False):
         sp.add_argument("--x", type=_parse_grid, help="x grid 'a:step:b' or comma list")
     if with_t:
         sp.add_argument("--t", type=_parse_grid, help="t grid 'a:step:b' or comma list")
-    if with_m:
-        sp.add_argument("--m-grid", dest="m_grid", type=_parse_grid, help="threshold grid")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -220,8 +220,8 @@ def _setup(diags, offdiags, tol):
     The default tol of a matrix comes from its own bracket, so that a lane's
     result does not depend on the other matrices of the batch.
     """
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol is not None and not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     diags = np.asarray(diags, float)
     offdiags = np.asarray(offdiags, float)
     lo, hi = batch_gershgorin(diags, offdiags)

@@ -1,7 +1,7 @@
 """Monte Carlo campaigns confronting simulation with the analytic statements:
-largest-particle concentration at 2, the empirical tail rate against the rate
-function, the partition-function tail bound, the trace identity, an
-exponential-tightness scan, and empirical-measure convergence.
+the trace identity, the empirical tail rate against the rate function, the
+partition-function tail bound and empirical-measure convergence, plus the
+per-replica largest eigenvalues behind the concentration at 2.
 
 Replica r always consumes stream_index = r of the cell's seed, chunks are a
 fixed function of (replicas, n), and every lane of the batched solver stops on
@@ -43,7 +43,6 @@ class ExperimentConfig:
     replicas: int
     x_grid: tuple = ()
     t_grid: tuple = ()
-    m_grid: tuple = ()
     master_seed: int = 20260101
     # final bisection bracket width; one below the float spacing stops at
     # adjacent doubles
@@ -55,13 +54,12 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
-        object.__setattr__(self, "m_grid", tuple(float(m) for m in self.m_grid))
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.solver_tol <= 0:
-            raise ValueError("solver_tol must be positive")
+        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ValueError(f"solver_tol must be finite and positive, got {self.solver_tol!r}")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
 
@@ -83,7 +81,6 @@ class ExperimentConfig:
             "replicas": self.replicas,
             "x_grid": list(self.x_grid),
             "t_grid": list(self.t_grid),
-            "m_grid": list(self.m_grid),
             "master_seed": self.master_seed,
             "solver_tol": self.solver_tol,
             "workers": self.workers,
@@ -98,7 +95,6 @@ class ExperimentConfig:
             replicas=int(d["replicas"]),
             x_grid=tuple(d.get("x_grid", ())),
             t_grid=tuple(d.get("t_grid", ())),
-            m_grid=tuple(d.get("m_grid", ())),
             master_seed=int(d.get("master_seed", 20260101)),
             solver_tol=float(d.get("solver_tol", 1e-12)),
             workers=int(d.get("workers", 1)),
@@ -297,44 +293,6 @@ def run_tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
 
 
 @dataclass(frozen=True)
-class ConvergenceRow:
-    n: int
-    beta: float
-    median_lambda_max: float
-    fractions: dict  # eps -> fraction of replicas with |lambda_max - 2| > eps
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: list
-    checks: list
-
-
-def run_convergence_check(cfg: ExperimentConfig,
-                          eps_values=(0.1, 0.15, 0.2)) -> ConvergenceReport:
-    """Concentration of lambda_max at the bulk edge 2 along the schedule."""
-    rows = []
-    for n, lam in zip(cfg.n_values, _gather(_task_lambda_max, cfg, cfg.n_values)):
-        beta = cfg.schedule.beta(n)
-        fr = {eps: float(np.mean(np.abs(lam - 2.0) > eps)) for eps in eps_values}
-        rows.append(ConvergenceRow(n, beta, float(np.median(lam)), fr))
-    checks = []
-    for eps in eps_values:
-        seq = [r.fractions[eps] for r in rows]
-        checks.append(CheckResult(
-            f"fractions_nonincreasing_in_n[eps={eps}]",
-            all(b <= a for a, b in zip(seq, seq[1:])),
-            f"{seq}"))
-    for r in rows:
-        seq = [r.fractions[eps] for eps in sorted(eps_values)]
-        checks.append(CheckResult(
-            f"fractions_nested_in_eps[n={r.n}]",
-            all(b <= a for a, b in zip(seq, seq[1:])),
-            f"{seq}"))
-    return ConvergenceReport(rows, checks)
-
-
-@dataclass(frozen=True)
 class TailboundRow:
     n: int
     beta: float
@@ -373,48 +331,6 @@ def run_tailbound_check(cfg: ExperimentConfig) -> TailboundReport:
                 f"tail_bound_respected[n={n},t={t:g}]", ok,
                 f"q_hat={q_hat:.3g} bound={math.exp(lb):.3g}"))
     return TailboundReport(rows, checks)
-
-
-@dataclass(frozen=True)
-class TightnessRow:
-    n: int
-    beta: float
-    M: float
-    empirical_rate: float | None  # log(p_hat)/(n*beta) when p_hat > 0
-    surrogate_rate: float         # [log n + log_tail_bound]/(n*beta)
-
-
-@dataclass(frozen=True)
-class TightnessReport:
-    rows: list
-    checks: list
-
-
-def run_tightness_scan(cfg: ExperimentConfig) -> TightnessReport:
-    """Exponential-tightness scan over the threshold grid.
-
-    Where the event lambda_max > M is still observable the empirical decay
-    rate is reported; everywhere the union-bound surrogate
-    (log n + log tail bound)/(n*beta) is reported and must strictly decrease.
-    """
-    if not cfg.m_grid:
-        raise ValueError("tightness scan needs a nonempty m_grid")
-    rows, checks = [], []
-    for n, lam in zip(cfg.n_values, _gather(_task_lambda_max, cfg, cfg.n_values)):
-        params = cfg.params_for(n)
-        nb = n * params.beta
-        surr = []
-        for M in cfg.m_grid:
-            p_hat = float(np.mean(lam > M))
-            emp = math.log(p_hat) / nb if p_hat > 0 else None
-            s = (math.log(n) + log_tail_bound(n, params.alpha, params.beta, M)) / nb
-            surr.append(s)
-            rows.append(TightnessRow(n, params.beta, M, emp, s))
-        checks.append(CheckResult(
-            f"surrogate_strictly_decreasing[n={n}]",
-            all(b < a for a, b in zip(surr, surr[1:])),
-            f"first={surr[0]:.3f} last={surr[-1]:.3f}"))
-    return TightnessReport(rows, checks)
 
 
 @dataclass(frozen=True)

@@ -52,10 +52,9 @@ def moment(mu: DiscreteMeasure, k: int) -> float:
     return float(np.mean(mu.atoms ** k))
 
 
-def _cdf_inverse(probs: np.ndarray) -> np.ndarray:
-    """Monotone bisection inverse of the semicircle CDF."""
-    lo = np.full(probs.shape, -2.0)
-    hi = np.full(probs.shape, 2.0)
+def _cdf_inverse(probs: np.ndarray, lo, hi) -> np.ndarray:
+    """Monotone bisection inverse of the semicircle CDF on the bracket
+    [lo, hi], which broadcasts against probs."""
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         below = semicircle_cdf(mid) < probs
@@ -73,7 +72,7 @@ def semicircle_quantile_measure(m: int) -> DiscreteMeasure:
     if m < 1:
         raise ValueError("m must be >= 1")
     probs = (np.arange(m) + 0.5) / m
-    return DiscreteMeasure(_cdf_inverse(probs))
+    return DiscreteMeasure(_cdf_inverse(probs, -2.0, 2.0))
 
 
 def w1_to_semicircle(mu: DiscreteMeasure, method: str = "closed_form") -> float:
@@ -119,14 +118,8 @@ def w1_to_semicircle(mu: DiscreteMeasure, method: str = "closed_form") -> float:
     total += float(np.sum(np.abs((s_hi - s_lo) - cc * (hi - lo))[plain]))
 
     if crossing.any():
-        blo, bhi = lo[crossing].copy(), hi[crossing].copy()
         target = cc[crossing]
-        for _ in range(60):
-            mid = 0.5 * (blo + bhi)
-            below = semicircle_cdf(mid) < target
-            blo = np.where(below, mid, blo)
-            bhi = np.where(below, bhi, mid)
-        xc = 0.5 * (blo + bhi)
+        xc = _cdf_inverse(target, lo[crossing], hi[crossing])
         s_c = semicircle_cdf_antiderivative(xc)
         left_part = target * (xc - lo[crossing]) - (s_c - s_lo[crossing])
         right_part = (s_hi[crossing] - s_c) - target * (hi[crossing] - xc)

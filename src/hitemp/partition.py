@@ -3,9 +3,7 @@ asymptotics, the two-point inequality behind the tail bound, and the tail
 bound itself.
 
 Everything lives in log space: the partition function grows superexponentially
-and is never exponentiated.  The module carries its own log-gamma (Lanczos,
-g = 607/128) and regularized incomplete gamma so the sampler tests do not
-need an external special-function library.
+and is never exponentiated.  Log-gamma values come from libm's `math.lgamma`.
 """
 
 from __future__ import annotations
@@ -15,50 +13,6 @@ from dataclasses import dataclass
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _HALF_LOG_2PI = 0.5 * _LOG_2PI
-
-# Lanczos coefficients for g = 607/128, 15 terms (Godfrey's set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-)
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0 via the Lanczos approximation.
-
-    For x < 0.5 one step of the downward recurrence
-    log Gamma(x) = log Gamma(x+1) - log x keeps the rational part
-    well-conditioned all the way to x ~ 1e-300.
-    """
-    x = float(x)
-    if not (x > 0.0) or math.isinf(x):
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    xs = x - 1.0
-    acc = _LANCZOS_C[0]
-    for k in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[k] / (xs + k)
-    t = xs + _LANCZOS_G + 0.5
-    return (xs + 0.5) * math.log(t) - t + _HALF_LOG_2PI + math.log(acc)
-
-
-def log_factorial(n: int) -> float:
-    return log_gamma(n + 1.0)
 
 
 def log_Z(n: int, alpha: float, beta: float) -> float:
@@ -73,35 +27,37 @@ def log_Z(n: int, alpha: float, beta: float) -> float:
     if alpha <= 0 or beta <= 0:
         raise ValueError("log_Z requires alpha > 0 and beta > 0")
     half_b = 0.5 * beta
-    gamma_sum = sum(log_gamma(j * half_b) for j in range(1, n + 1)) - n * log_gamma(half_b)
+    gamma_sum = sum(math.lgamma(j * half_b) for j in range(1, n + 1)) - n * math.lgamma(half_b)
     return (
         (-0.5 * n - beta * n * (n - 1) / 4.0) * math.log(alpha)
-        + log_factorial(n)
+        + math.lgamma(n + 1.0)
         + 0.5 * n * _LOG_2PI
         + gamma_sum
     )
 
 
-def exact_log_ratio_shift(n: int, beta: float) -> float:
-    """log of Z_{n-1}/Z_n at the common scale alpha = n*beta/2.
-
-    Uses the algebraically reduced form
+def _log_ratio_base(n: int, alpha: float, beta: float) -> float:
+    """log of Z_{n-1, alpha}/Z_{n, alpha} in the algebraically reduced form
     -log n - log(2*pi)/2 + logGamma(beta/2) - logGamma(n*beta/2)
-    + (1/2 + beta*(n-1)/2) * log(n*beta/2),
+    + (1/2 + beta*(n-1)/2) * log(alpha),
     which avoids the catastrophic cancellation of the naive difference.
     """
     if n < 2:
         raise ValueError(f"ratio requires n >= 2, got {n}")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    z = 0.5 * n * beta
     return (
         -math.log(n)
         - _HALF_LOG_2PI
-        + log_gamma(0.5 * beta)
-        - log_gamma(z)
-        + (0.5 + 0.5 * beta * (n - 1)) * math.log(z)
+        + math.lgamma(0.5 * beta)
+        - math.lgamma(0.5 * n * beta)
+        + (0.5 + 0.5 * beta * (n - 1)) * math.log(alpha)
     )
+
+
+def exact_log_ratio_shift(n: int, beta: float) -> float:
+    """log of Z_{n-1}/Z_n at the common scale alpha = n*beta/2."""
+    return _log_ratio_base(n, 0.5 * n * beta, beta)
 
 
 def asymptotic_log_ratio_shift(n: int, beta: float) -> float:
@@ -115,21 +71,10 @@ def exact_log_ratio_perturbed(n: int, alpha: float, beta: float) -> float:
     Reduced form: the equal-scale ratio at alpha plus the scale-perturbation
     term (-(n-1)/2 - beta*(n-1)*(n-2)/4) * log(1 - beta/(4*alpha)).
     """
-    if n < 2:
-        raise ValueError(f"ratio requires n >= 2, got {n}")
-    if beta <= 0:
-        raise ValueError("beta must be positive")
     if alpha - beta / 4.0 <= 0:
         raise ValueError("requires alpha - beta/4 > 0")
-    base = (
-        -math.log(n)
-        - _HALF_LOG_2PI
-        + log_gamma(0.5 * beta)
-        - log_gamma(0.5 * n * beta)
-        + (0.5 + 0.5 * beta * (n - 1)) * math.log(alpha)
-    )
     extra = (-(n - 1) / 2.0 - beta * (n - 1) * (n - 2) / 4.0) * math.log1p(-beta / (4.0 * alpha))
-    return base + extra
+    return _log_ratio_base(n, alpha, beta) + extra
 
 
 def asymptotic_log_ratio_perturbed(n: int, beta: float) -> float:
@@ -202,52 +147,3 @@ def log_tail_bound(n: int, alpha: float, beta: float, t: float) -> float:
         + exact_log_ratio_perturbed(n, alpha, beta)
         - alpha * t * t / 4.0
     )
-
-
-def reg_incomplete_gamma(s: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(s, x) in [0, 1].
-
-    Power series for x < s + 1, Lentz continued fraction for the complement
-    otherwise; both standard forms, accurate to ~1e-14.
-    """
-    if s <= 0:
-        raise ValueError(f"shape s must be positive, got {s!r}")
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    log_front = s * math.log(x) - x - log_gamma(s)
-    if x < s + 1.0:
-        # series: P = front * sum_k x^k / (s(s+1)...(s+k))
-        term = 1.0 / s
-        total = term
-        denom = s
-        for _ in range(10000):
-            denom += 1.0
-            term *= x / denom
-            total += term
-            if abs(term) < abs(total) * 1e-16:
-                break
-        return min(1.0, math.exp(log_front) * total)
-    # continued fraction for Q(s, x) (modified Lentz)
-    tiny = 1e-300
-    b = x + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 10000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    q = math.exp(log_front) * h
-    return max(0.0, 1.0 - q)

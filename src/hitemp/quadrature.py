@@ -33,22 +33,19 @@ _WG = np.array([
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 ])
+_MAX_SUBDIVISIONS = 4000  # interval splits before the estimate is returned as is
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and subdivision budget for adaptive integration."""
+    """Tolerances for adaptive integration."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
-    max_subdivisions: int = 4000
-    singularity_split: bool = True
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
@@ -74,10 +71,7 @@ def adaptive_quad(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()
         if b == a:
             return 0.0
         raise ValueError("integration limits must satisfy a < b")
-    cuts = [a, b]
-    if spec.singularity_split:
-        cuts.extend(p for p in points if a < p < b)
-    cuts = sorted(set(cuts))
+    cuts = sorted({a, b, *(p for p in points if a < p < b)})
 
     heap = []  # (-error, index, lo, hi, estimate)
     total = 0.0
@@ -91,7 +85,7 @@ def adaptive_quad(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()
         serial += 1
 
     splits = 0
-    while err > max(spec.abs_tol, spec.rel_tol * abs(total)) and splits < spec.max_subdivisions:
+    while err > max(spec.abs_tol, spec.rel_tol * abs(total)) and splits < _MAX_SUBDIVISIONS:
         neg_e, _, lo, hi, est = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         l_est, l_err = _gk15(f, lo, mid)

@@ -67,8 +67,8 @@ def log_chi(k, stream: SeededStream, size=None):
     g_boost = stream.rng.standard_gamma(np.atleast_1d(k_arr) / 2.0 + 1.0)
     # log U with U ~ Uniform(0,1]: log1p(-random()) never hits -inf
     log_u = np.log1p(-stream.rng.random(g_boost.shape))
-    log_gamma_var = np.log(g_boost) + (2.0 / np.atleast_1d(k_arr)) * log_u
-    out = 0.5 * (math.log(2.0) + log_gamma_var)
+    log_g = np.log(g_boost) + (2.0 / np.atleast_1d(k_arr)) * log_u
+    out = 0.5 * (math.log(2.0) + log_g)
     out = out.reshape(k_arr.shape)
     return float(out) if scalar else out
 

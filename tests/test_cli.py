@@ -103,6 +103,14 @@ def test_manifest_round_trip(tmp_path):
     assert run_cli("sweep", "--config", str(manifest), "--workers", "1",
                    "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    # manifests written by 0.2.0 carry an "m_grid" that no campaign reads
+    meta["config"]["m_grid"] = []
+    old_manifest = tmp_path / "run_0.2.0.json"
+    old_manifest.write_text(json.dumps(meta))
+    out3 = tmp_path / "s3.csv"
+    assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
+                   "--out", str(out3)) == 0
+    assert out1.read_bytes() == out3.read_bytes()
 
 
 def test_flag_overrides_config(tmp_path):
@@ -165,6 +173,36 @@ def test_usage_errors_exit_two(tmp_path):
                    "--out", str(tmp_path / "m.txt")) == 2  # n >= 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_eig_rejects_a_non_finite_tol(tmp_path, capsys, tol):
+    # a NaN tol fails every comparison, so a "tol <= 0" check lets it through
+    dump = tmp_path / "m.txt"
+    assert run_cli("sample", "--n", "5", "--beta", "0.3", "--seed", "5", "--out", str(dump)) == 0
+    assert run_cli("eig", "--matrix", str(dump), "--tol", tol) == 2
+    captured = capsys.readouterr()
+    assert "hitemp: error:" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_sweep_rejects_a_non_finite_tol(tmp_path, capsys, tol):
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "60",
+                   "--replicas", "20", "--x", "2.3", "--tol", tol, "--workers", "1",
+                   "--out", str(out)) == 2
+    assert "hitemp: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text("[1, 2]")
+    # every required flag is given, so only the file's shape is at fault
+    assert run_cli("sweep", "--config", str(config), "--schedule", "const", "--c", "0.1",
+                   "--n", "60", "--replicas", "20", "--x", "2.3", "--workers", "1",
+                   "--out", str(tmp_path / "sweep.csv")) == 2
+    assert "must hold a JSON object" in capsys.readouterr().err
+
+
 def test_eig_on_header_only_dump_is_a_usage_error(tmp_path, capsys):
     dump = tmp_path / "short.txt"
     dump.write_text("3\n")
@@ -174,14 +212,16 @@ def test_eig_on_header_only_dump_is_a_usage_error(tmp_path, capsys):
 
 def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
     # the cell keys are derived in the workers: the first SeedSequence would
-    # import numpy.random (about 5.6 MB) into the campaign process
+    # import numpy.random (about 5.6 MB) into the campaign process; importing
+    # scipy.linalg alone would add about 26 MB
     code = (
         "import sys\n"
         "from hitemp.cli import main\n"
         "rc = main(['tail', '--schedule', 'const', '--c', '0.2', '--n', '50', '--replicas', '400',\n"
         "           '--t', '2.5', '--seed', '3', '--workers', '2', '--out', sys.argv[1]])\n"
         "assert rc == 0, rc\n"
-        "assert 'numpy.random' not in sys.modules\n")
+        "assert 'numpy.random' not in sys.modules\n"
+        "assert 'scipy' not in sys.modules\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tail.csv")],

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,31 +14,9 @@ from hitemp.partition import (
     exact_log_ratio_perturbed,
     exact_log_ratio_shift,
     log_Z,
-    log_gamma,
     log_tail_bound,
-    reg_incomplete_gamma,
     technical_gap,
 )
-
-
-def test_log_gamma_special_points():
-    assert log_gamma(1.0) == 0.0
-    assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-14)
-    assert log_gamma(10.0) == pytest.approx(math.log(362880.0), rel=1e-15)
-
-
-def test_log_gamma_accuracy_sweep():
-    # libm lgamma as the independent high-accuracy reference
-    for x in np.geomspace(1e-6, 1e12, 600):
-        ours = log_gamma(float(x))
-        ref = math.lgamma(float(x))
-        assert abs(ours - ref) <= 1e-12 * max(1.0, abs(ref))
-
-
-def test_log_gamma_rejects_nonpositive():
-    for bad in (0.0, -1.0, -0.5):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
 
 
 @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (5.0, 0.1)])
@@ -82,6 +61,31 @@ def test_perturbed_ratio_reduced_matches_naive():
     n, alpha, beta = 50, 5.0, 0.2
     naive = log_Z(n - 1, alpha - beta / 4, beta) - log_Z(n, alpha, beta)
     assert abs(exact_log_ratio_perturbed(n, alpha, beta) - naive) <= 1e-8
+
+
+def _mp_log_ratio(n, alpha, beta, perturbed):
+    # the reduced forms of both ratios, at 50 digits on the same float inputs
+    with mpmath.workdps(50):
+        n_, a, b = mpmath.mpf(n), mpmath.mpf(alpha), mpmath.mpf(beta)
+        base = (-mpmath.log(n_) - mpmath.log(2 * mpmath.pi) / 2 + mpmath.loggamma(b / 2)
+                - mpmath.loggamma(n_ * b / 2) + (0.5 + b * (n_ - 1) / 2) * mpmath.log(a))
+        if perturbed:
+            base += (-(n_ - 1) / 2 - b * (n_ - 1) * (n_ - 2) / 4) * mpmath.log(1 - b / (4 * a))
+        return float(base)
+
+
+@pytest.mark.parametrize("n", [2, 50, 10**3, 10**4, 10**6])
+@pytest.mark.parametrize("beta", [1e-6, None, 0.2, 2.0])
+def test_log_ratios_match_mpmath(n, beta):
+    # math.lgamma feeds both ratios; the invlogsq point (beta = None) is the
+    # partition subcommand's schedule
+    beta = 1.0 / math.log(max(n, 3)) ** 2 if beta is None else beta
+    alpha = 0.5 * n * beta
+    for got, perturbed in ((exact_log_ratio_shift(n, beta), False),
+                           (exact_log_ratio_perturbed(n, alpha, beta), True)):
+        want = _mp_log_ratio(n, alpha, beta, perturbed)
+        scale = math.lgamma(0.5 * beta) + abs(math.lgamma(0.5 * n * beta)) + 1.0
+        assert abs(got - want) <= 8 * 2.0**-52 * max(abs(want), scale)
 
 
 def test_shift_gap_small_and_shrinking():
@@ -161,40 +165,11 @@ def test_union_bound_surrogate_strictly_decreasing():
     # (log n + log tail bound)/(n*beta) at alpha = n*beta/2 keeps falling in M
     n, beta = 10**4, 0.01
     alpha = n * beta / 2
-    vals = [(math.log(n) + log_tail_bound(n, alpha, beta, M)) / (n * beta)
-            for M in range(3, 21)]
+    ms = range(3, 21)
+    vals = [(math.log(n) + log_tail_bound(n, alpha, beta, M)) / (n * beta) for M in ms]
     assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_reg_incomplete_gamma_zero():
-    assert reg_incomplete_gamma(0.7, 0.0) == 0.0
-
-
-def test_reg_incomplete_gamma_exponential():
-    # P(1, x) = 1 - exp(-x)
-    for x in (0.1, 0.5, 1.0, 3.0, 10.0):
-        assert reg_incomplete_gamma(1.0, x) == pytest.approx(1 - math.exp(-x), abs=1e-10)
-
-
-def test_reg_incomplete_gamma_erf():
-    # P(1/2, x) = erf(sqrt(x)); frozen erf(1) = 0.8427007929497149...
-    assert reg_incomplete_gamma(0.5, 1.0) == pytest.approx(0.8427007929497149, abs=1e-10)
-    for x in (0.25, 2.25, 9.0):
-        assert reg_incomplete_gamma(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), abs=1e-10)
-
-
-def test_reg_incomplete_gamma_range_and_validation():
-    for s in (0.01, 0.5, 3.0, 40.0):
-        for x in (1e-6, 0.5, 5.0, 500.0):
-            p = reg_incomplete_gamma(s, x)
-            assert 0.0 <= p <= 1.0
-    with pytest.raises(ValueError):
-        reg_incomplete_gamma(0.0, 1.0)
-    with pytest.raises(ValueError):
-        reg_incomplete_gamma(1.0, -0.1)
-
-
-def test_reg_incomplete_gamma_monotone_in_x():
-    xs = np.linspace(0.0, 20.0, 200)
-    vals = [reg_incomplete_gamma(2.5, float(x)) for x in xs]
-    assert all(b >= a for a, b in zip(vals, vals[1:]))
+    # each step falls by (M2^2 - M1^2)/8 up to the subdominant
+    # log(M2/M1)/(n*beta) term; 10% agreement at n*beta = 100
+    for m1, m2, s1, s2 in zip(ms, ms[1:], vals, vals[1:]):
+        expected = (m2 * m2 - m1 * m1) / 8.0
+        assert abs((s1 - s2) - expected) <= 0.1 * expected
