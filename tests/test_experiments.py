@@ -17,6 +17,7 @@ from hitemp.experiments import (
 )
 from hitemp.measures import semicircle_quantile_measure
 from hitemp.model import RegimeSchedule, make_params
+from hitemp.partition import log_tail_bound
 from hitemp.sampler import SeededStream, sample_matrix
 
 
@@ -206,6 +207,19 @@ def test_tailbound_far_threshold_trivial():
 def test_tailbound_validation():
     with pytest.raises(ValueError):
         run_tailbound_check(cfg_with(t_grid=()))
+
+
+def test_tightness_scan_surrogate_slope():
+    # the union-bound surrogate (log n + log tail bound)/(n*beta) at
+    # alpha = n*beta/2 falls between grid points by (M2^2 - M1^2)/8 up to the
+    # subdominant log(M2/M1)/(n*beta) term; 10% agreement at n*beta = 100
+    n = 10**4
+    beta = RegimeSchedule.constant(0.01).beta(n)
+    ms = [float(m) for m in range(3, 21)]
+    surr = [(math.log(n) + log_tail_bound(n, n * beta / 2, beta, m)) / (n * beta) for m in ms]
+    for m1, m2, s1, s2 in zip(ms, ms[1:], surr, surr[1:]):
+        expected = (m2 * m2 - m1 * m1) / 8.0
+        assert abs((s1 - s2) - expected) <= 0.1 * expected
 
 
 def test_tightness_nested_events():
