@@ -1,8 +1,8 @@
-"""Gaussian beta-ensemble at high temperature: tridiagonal sampling, Sturm
-bisection spectra, rate-function analytics, Selberg partition asymptotics and
+"""Gaussian beta-ensemble at high temperature: tridiagonal sampling, LAPACK
+spectra, rate-function analytics, Selberg partition asymptotics and
 desk-scale large-deviations experiments."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .analytic import (  # noqa: F401
     SEMICIRCLE,

@@ -2,7 +2,7 @@
 and tolerances, plus an orchestrator that prints one PASS/FAIL line each.
 
 Every criterion checks an implementation against an independent route:
-closed forms against adaptive quadrature, bisection spectra against
+closed forms against adaptive quadrature, LAPACK spectra against
 characteristic-polynomial roots, Monte Carlo against exact identities or
 analytic bounds.  Runs are seeded and deterministic for a fixed worker count
 (and, for the determinism criterion itself, across worker counts).
@@ -49,7 +49,7 @@ def charpoly_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
 
     Three-term recurrence in coefficient space,
     p_k = (a_k - x) p_{k-1} - b_{k-1}^2 p_{k-2}, then companion-matrix roots.
-    Independent of the Sturm bisection path it cross-checks.
+    Independent of the LAPACK and Sturm-count paths it cross-checks.
     """
     from numpy.polynomial import polynomial as P
 

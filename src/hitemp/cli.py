@@ -10,12 +10,13 @@ undefined values as 'nan'.  Exit codes: 0 success, 1 assertion failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
 import sys
 
-from . import __version__
+from . import __version__, _lapack
 from .analytic import evaluate_rate
 from .experiments import (
     STREAM_CONTRACT,
@@ -109,9 +110,16 @@ def _load_config_file(path) -> dict:
     return data
 
 
+# manifests written by 0.2.0 carry an "m_grid" that no campaign reads
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"m_grid"}
+
+
 def _experiment_config(args) -> ExperimentConfig:
     """CLI flags override config-file values override defaults."""
     config = _load_config_file(args.config)
+    unknown = sorted(set(config) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     schedule = _schedule_from_args(args, config)
 
     def pick(flag, key, default):
@@ -146,6 +154,8 @@ def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
         "tool_version": __version__,
         "master_seed": cfg.master_seed,
         "stream_contract": STREAM_CONTRACT,
+        "solver": {"lambda_max": f"dstebz, RANGE='I', IL=IU=n, ABSTOL={cfg.solver_tol!r}",
+                   "spectra": "dsterf", "library": os.path.basename(_lapack.library()[0])},
         "timestamp": datetime.datetime.now(tz=datetime.timezone.utc).isoformat(),
         "config": cfg.to_dict(),
         "outputs": [o for o in outputs if o not in (None, "-")],
@@ -167,8 +177,8 @@ def _write_summary(path, checks) -> None:
         fh.write("\n")
 
 
-TOL_HELP = ("eigensolver tolerance: the final bisection bracket width; a tol below the "
-            "float spacing stops at adjacent doubles")
+TOL_HELP = ("eigensolver tolerance: LAPACK dstebz's ABSTOL for lambda_max; full spectra "
+            "come from dsterf, which takes none")
 
 
 def _add_experiment_flags(sp, with_x=False, with_t=False):

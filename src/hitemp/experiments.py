@@ -4,8 +4,8 @@ partition-function tail bound and empirical-measure convergence, plus the
 per-replica largest eigenvalues behind the concentration at 2.
 
 Replica r always consumes stream_index = r of the cell's seed, chunks are a
-fixed function of (replicas, n), and every lane of the batched solver stops on
-its own bracket, so outputs are byte-identical for any worker count.  All
+fixed function of (replicas, n), and the solver treats each matrix of a batch
+on its own, so outputs are byte-identical for any worker count.  All
 cells of a campaign are gathered through one process pool.
 """
 
@@ -44,8 +44,7 @@ class ExperimentConfig:
     x_grid: tuple = ()
     t_grid: tuple = ()
     master_seed: int = 20260101
-    # final bisection bracket width; one below the float spacing stops at
-    # adjacent doubles
+    # dstebz's ABSTOL for lambda_max; dsterf, which solves spectra, takes none
     solver_tol: float = 1e-12
     workers: int = 1
     plus_one_alpha: bool = False

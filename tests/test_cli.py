@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from hitemp import cli, eig
+from hitemp import _lapack, cli, eig
 from hitemp.cli import main
 from hitemp.sampler import load_matrix
 
@@ -94,8 +94,11 @@ def test_manifest_round_trip(tmp_path):
                    "--workers", "1", "--out", str(out1), "--manifest", str(manifest)) == 0
     meta = json.loads(manifest.read_text())
     assert meta["master_seed"] == 321
-    assert meta["tool_version"] == "0.2.0"
+    assert meta["tool_version"] == "0.3.0"
     assert "SeedSequence((master_seed mod 2^64, n))" in meta["stream_contract"]
+    assert meta["solver"] == {"lambda_max": "dstebz, RANGE='I', IL=IU=n, ABSTOL=1e-12",
+                              "spectra": "dsterf",
+                              "library": os.path.basename(_lapack.library()[0])}
     assert meta["config"]["replicas"] == 50
     assert str(out1) in meta["outputs"]
     # replaying the manifest reproduces the run byte for byte
@@ -242,6 +245,27 @@ def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_rate", broken)
     with pytest.raises(KeyError):
         run_cli("rate", "--x", "2.5")
+
+
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys):
+    # "replica" for "replicas" used to run the default 1000 replicas and exit 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"replica": 5}))
+    out = tmp_path / "tail.csv"
+    assert run_cli("tail", "--config", str(config), "--schedule", "const", "--c", "0.2",
+                   "--n", "20", "--t", "3", "--workers", "1", "--out", str(out)) == 2
+    assert "unknown config key(s) 'replica'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_esd_output_is_independent_of_worker_count(tmp_path):
+    # spectra are solved in the forked workers at 2 workers, in-process at 1
+    outs = [tmp_path / f"esd{w}.csv" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert run_cli("esd", "--schedule", "const", "--c", "0.1", "--n", "40,120",
+                       "--replicas", "16", "--seed", "5", "--workers", str(w),
+                       "--out", str(out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_inf_and_nan_markers_render(tmp_path):

@@ -1,16 +1,18 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitemp import eig
+from hitemp import _lapack, eig
 from hitemp.acceptance import charpoly_eigenvalues
 from hitemp.sampler import SeededStream, TridiagonalMatrix, sample_matrix
 from hitemp.model import make_params
@@ -213,57 +215,56 @@ def test_batch_lane_independence_all_entry_points(diags, offs, row, tol):
     assert np.array_equal(eig.batch_spectra(diags, offs, tol)[row], eig.batch_spectra(*solo)[0])
 
 
-def _bisect_one_level(diags, b2s, lo, hi, targets, tol):
-    """One bisection level per Sturm sweep: the reference for `eig._bisect`."""
-    iterations = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        active = ((hi - lo) > tol) & (lo < mid) & (mid < hi)
-        if not active.any():
-            return mid, iterations
-        reached = eig._sturm_counts(diags, b2s, mid) >= targets
-        hi = np.where(active & reached, mid, hi)
-        lo = np.where(active & ~reached, mid, lo)
-        iterations += 1
+def _check_against_sturm_counts(diags, offs, tol):
+    # the Sturm recurrence is independent of LAPACK: lambda_max must sit within
+    # tol of the n-th count step, and each spectrum must step through 1..n
+    n = diags.shape[1]
+    b2s = offs**2
+    lm, tols = eig.lambda_max_batch(diags, offs, tol), eig._tols(diags, offs, tol)
+    assert np.all(eig._sturm_counts(diags, b2s, lm + tols) == n)
+    assert np.all(eig._sturm_counts(diags, b2s, lm - tols) <= n - 1)
+    spectra = eig.batch_spectra(diags, offs, tol)
+    assert np.all(np.diff(spectra, axis=1) >= 0)
+    distinct = spectra[:, 1:] > spectra[:, :-1]
+    counts = eig._sturm_counts(diags, b2s, 0.5 * (spectra[:, 1:] + spectra[:, :-1]))
+    k = np.broadcast_to(np.arange(1, n), counts.shape)
+    assert np.array_equal(counts[distinct], k[distinct])
+    norm = np.max(np.abs(diags), axis=1) + 2 * np.max(offs, axis=1, initial=0.0)
+    assert np.all(np.abs(spectra.sum(axis=1) - diags.sum(axis=1)) <= 1e-13 * n * norm)
 
 
-def _check_against_one_level(diags, offs, tol):
-    d, b2s, lo, hi, lane_tol = eig._setup(diags, offs, tol)
-    n = d.shape[1]
-    lm_args = (lo, hi, n, lane_tol)
-    sp_args = (np.repeat(lo[:, None], n, axis=1), np.repeat(hi[:, None], n, axis=1),
-               np.arange(1, n + 1), lane_tol[:, None])
-    lm, lm_levels = _bisect_one_level(d, b2s, *lm_args)
-    spectra, sp_levels = _bisect_one_level(d, b2s, *sp_args)
-    spectra = np.sort(spectra, axis=1)
-    assert eig._bisect(d, b2s, *lm_args)[1] == lm_levels
-    assert eig._bisect(d, b2s, *sp_args)[1] == sp_levels
-    assert np.array_equal(eig.lambda_max_batch(diags, offs, tol), lm)
-    assert np.array_equal(eig.batch_spectra(diags, offs, tol), spectra)
-    if len(d) == 1:
-        got = eig.full_spectrum(tri(d[0], offs[0]), tol)
-        assert np.array_equal(got.eigenvalues, spectra[0]) and got.iterations == sp_levels
-
-
+@pytest.mark.parametrize("tol", [1e-12, None])
 @pytest.mark.parametrize("r", [1, 3, 40])
 @pytest.mark.parametrize("n", [50, 400])
-def test_multisection_matches_one_level_bisection(r, n):
-    # several levels per sweep must give the bit-identical values and level counts
-    _check_against_one_level(*_sampled_batch(r, n, 11 + r), 1e-12)
-    if n == 50:
-        _check_against_one_level(*_sampled_batch(r, n, 11 + r), None)
+def test_lapack_results_match_sturm_counts(r, n, tol):
+    _check_against_sturm_counts(*_sampled_batch(r, n, 11 + r), tol)
 
 
 @pytest.mark.parametrize("tol", [1e-12, None, 1e-300])
-def test_multisection_matches_one_level_on_repeated_eigenvalues(tol):
-    # lanes of a repeated eigenvalue share a bracket to the end
-    _check_against_one_level(np.array([[1.0, 1.0, 1.0, 2.0]]), np.zeros((1, 3)), tol)
+def test_repeated_eigenvalues(tol):
+    diags, offs = np.array([[1.0, 1.0, 1.0, 2.0]]), np.zeros((1, 3))
+    assert eig.lambda_max_batch(diags, offs, tol)[0] == 2.0
+    assert np.array_equal(eig.batch_spectra(diags, offs, tol)[0], [1.0, 1.0, 1.0, 2.0])
+    if tol != 1e-300:  # a tol below the float spacing leaves no room either side
+        _check_against_sturm_counts(diags, offs, tol)
 
 
-@pytest.mark.parametrize("r", [1, 3])
-def test_multisection_matches_one_level_below_float_spacing(r):
-    # a tol no bracket can reach: lanes stop at adjacent doubles, not all at once
-    _check_against_one_level(*_sampled_batch(r, 12, 13), 1e-300)
+def test_missing_library_is_a_runtime_error(tmp_path, monkeypatch):
+    # no silent fallback: an OSError would read as a usage error (exit 2)
+    real_dir = _lapack._LIBS_DIR
+    monkeypatch.setattr(_lapack, "_LIBS_DIR", str(tmp_path))
+    _lapack.library.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"no libscipy_openblas64_.*in {re.escape(str(tmp_path))}"):
+            eig.lambda_max_batch(np.zeros((1, 2)), np.ones((1, 1)), 1e-12)
+        # a library without the routines: numpy's own libquadmath, renamed
+        quadmath = next(f for f in os.listdir(real_dir) if f.startswith("libquadmath"))
+        fake = tmp_path / "libscipy_openblas64_-fake.so"
+        fake.write_bytes((Path(real_dir) / quadmath).read_bytes())
+        with pytest.raises(RuntimeError, match=f"{re.escape(str(fake))} lacks the symbol scipy_dstebz_64_"):
+            eig.batch_spectra(np.zeros((1, 2)), np.ones((1, 1)))
+    finally:
+        _lapack.library.cache_clear()
 
 
 def test_counts_abs_at_or_above():
@@ -278,7 +279,7 @@ def test_counts_abs_at_or_above():
 _BELOW_FLOAT_SPACING = textwrap.dedent("""
     import sys
     import numpy as np
-    from hitemp import eig
+    from hitemp import _lapack, eig
     from hitemp.acceptance import charpoly_eigenvalues
     from hitemp.model import make_params
     from hitemp.sampler import SeededStream, TridiagonalMatrix, dump_matrix, sample_matrix

@@ -20,7 +20,7 @@ from hitemp.sampler import SeededStream, sample_matrix
 
 
 def test_from_spectrum_preserves_atoms():
-    spec = SpectrumResult(eigenvalues=np.array([-1.0, 1.0]), tol=1e-10, iterations=3)
+    spec = SpectrumResult(eigenvalues=np.array([-1.0, 1.0]), tol=1e-10)
     mu = from_spectrum(spec)
     assert np.array_equal(mu.atoms, [-1.0, 1.0])
     assert mu.m == 2
