@@ -249,6 +249,37 @@ def test_repeated_eigenvalues(tol):
         _check_against_sturm_counts(diags, offs, tol)
 
 
+def _bisect_one_level(diags, b2s, lo, hi, targets):
+    """Halve each bracket on its Sturm count until no double lies strictly inside."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        active = (lo < mid) & (mid < hi)
+        if not active.any():
+            return mid
+        reached = eig._sturm_counts(diags, b2s, mid) >= targets
+        hi = np.where(active & reached, mid, hi)
+        lo = np.where(active & ~reached, mid, lo)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+def test_multisection_matches_one_level_below_float_spacing(r):
+    # named for the multisection solver that LAPACK replaced: at a tol no bracket
+    # of doubles can reach, dstebz and dsterf must agree with a one-level Sturm
+    # bisection run to adjacent doubles, to within both methods' n*eps*||T||
+    diags, offs = _sampled_batch(r, 12, 13)
+    n, b2s = diags.shape[1], offs**2
+    lo, hi = eig.batch_gershgorin(diags, offs)
+    bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    lm = _bisect_one_level(diags, b2s, lo, hi, n)
+    assert np.all(np.abs(eig.lambda_max_batch(diags, offs, 1e-300) - lm) <= bound)
+    spectra = np.sort(_bisect_one_level(diags, b2s, np.repeat(lo[:, None], n, axis=1),
+                                        np.repeat(hi[:, None], n, axis=1), np.arange(1, n + 1)), axis=1)
+    got = eig.batch_spectra(diags, offs, 1e-300)
+    assert np.all(np.abs(got - spectra) <= bound[:, None])
+    if r == 1:
+        assert np.array_equal(eig.full_spectrum(tri(diags[0], offs[0]), 1e-300).eigenvalues, got[0])
+
+
 def test_missing_library_is_a_runtime_error(tmp_path, monkeypatch):
     # no silent fallback: an OSError would read as a usage error (exit 2)
     real_dir = _lapack._LIBS_DIR
