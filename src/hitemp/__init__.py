@@ -27,4 +27,4 @@ from .partition import (  # noqa: F401
     log_tail_bound,
     technical_gap,
 )
-from .sampler import SeededStream, TridiagonalMatrix, chi, gaussian, sample_matrix  # noqa: F401
+from .sampler import SeededStream, TridiagonalMatrix, sample_matrix  # noqa: F401

@@ -7,6 +7,9 @@ Replica r always consumes stream_index = r of the cell's seed, chunks are a
 fixed function of (replicas, n), and the solver treats each matrix of a batch
 on its own, so outputs are byte-identical for any worker count.  All
 cells of a campaign are gathered through one process pool.
+
+A chunk is sampled by one Philox generator re-keyed to (cell key, r) for
+replica r, with sample_matrix's entry arithmetic done once per sub-block.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from .analytic import energy_I, rate_J
 from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle
 from .model import EnsembleParams, RegimeSchedule, make_params
 from .partition import log_tail_bound
-from .sampler import _U64, SeededStream, sample_matrix
+from .sampler import _U64, SeededStream, _chi_shapes, _scale_entries, sample_matrix
 
 _CHUNK_ELEMS = 2_000_000
 _MIN_TASKS = 8  # worker-count independent task granularity
+_SCRATCH_ELEMS = 65536  # uniforms per sub-block: a whole chunk's would raise peak RSS
 
 # recorded in run manifests; outputs under another contract are not comparable
 STREAM_CONTRACT = (
@@ -86,20 +90,6 @@ class ExperimentConfig:
             "plus_one_alpha": self.plus_one_alpha,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "ExperimentConfig":
-        return ExperimentConfig(
-            schedule=RegimeSchedule.from_dict(d["schedule"]),
-            n_values=tuple(d["n_values"]),
-            replicas=int(d["replicas"]),
-            x_grid=tuple(d.get("x_grid", ())),
-            t_grid=tuple(d.get("t_grid", ())),
-            master_seed=int(d.get("master_seed", 20260101)),
-            solver_tol=float(d.get("solver_tol", 1e-12)),
-            workers=int(d.get("workers", 1)),
-            plus_one_alpha=bool(d.get("plus_one_alpha", False)),
-        )
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -118,13 +108,28 @@ def _chunks(replicas: int, n: int):
 
 
 def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
+    """Rows j of (diags, offs) are sample_matrix(params, SeededStream(cell key, start + j))."""
     params, seed = cfg.params_for(n), cfg.cell_seed(n)
-    diags = np.empty((count, n))
-    offs = np.empty((count, n - 1))
-    for j in range(count):
-        m = sample_matrix(params, SeededStream(seed, start + j))
-        diags[j] = m.diag
-        offs[j] = m.offdiag
+    if count == 1:  # one generator either way; perfbench traces sample_matrix
+        tri = sample_matrix(params, SeededStream(seed, start))
+        return tri.diag[None], tri.offdiag[None]
+    # Philox is counter-based: a pristine state re-keyed to (cell key, r) is stream r
+    bitgen = np.random.Philox(key=seed)
+    rng, state = np.random.Generator(bitgen), bitgen.state
+    shapes = _chi_shapes(n, params.beta)
+    gamma_shapes = shapes / 2.0 + 1.0
+    diags, offs = np.empty((count, n)), np.empty((count, n - 1))
+    rows = max(1, _SCRATCH_ELEMS // n)
+    u = np.empty((min(rows, count), n - 1))
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        for j in range(lo, hi):
+            state["state"]["key"][1] = start + j
+            bitgen.state = state
+            rng.standard_normal(out=diags[j])
+            rng.standard_gamma(gamma_shapes, out=offs[j])
+            rng.random(out=u[j - lo])
+        _scale_entries(diags[lo:hi], offs[lo:hi], u[:hi - lo], shapes, params.alpha)
     return diags, offs
 
 

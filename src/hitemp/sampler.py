@@ -29,7 +29,10 @@ class SeededStream:
     master_seed + stream_index * 2^64, so distinct stream indices select
     distinct cipher keys and are non-overlapping by construction.  A stream
     instance is stateful and must not be shared across threads; streams with
-    different indices may be consumed concurrently.
+    different indices may be consumed concurrently.  This is the public
+    per-replica handle, the one perfbench rebuilds matrices from; campaigns
+    draw the same streams by re-keying one Philox per block of replicas
+    (experiments._sample_block).
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
@@ -42,11 +45,6 @@ class SeededStream:
 
     def __repr__(self):
         return f"SeededStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
-
-
-def gaussian(stream: SeededStream, size=None):
-    """Standard normal variates from the stream."""
-    return stream.rng.standard_normal(size)
 
 
 def log_chi(k, stream: SeededStream, size=None):
@@ -71,11 +69,6 @@ def log_chi(k, stream: SeededStream, size=None):
     out = 0.5 * (math.log(2.0) + log_g)
     out = out.reshape(k_arr.shape)
     return float(out) if scalar else out
-
-
-def chi(k, stream: SeededStream, size=None):
-    """chi(k) variates (square roots of Gamma(k/2, scale 2) variates)."""
-    return np.exp(log_chi(k, stream, size=size))
 
 
 @dataclass(frozen=True)
@@ -105,13 +98,26 @@ class TridiagonalMatrix:
     def n(self) -> int:
         return self.diag.size
 
-    def reversed(self) -> "TridiagonalMatrix":
-        """Index-reversed copy; shares the spectrum with the original."""
-        return TridiagonalMatrix(self.diag[::-1].copy(), self.offdiag[::-1].copy())
 
-    def trace_h2(self) -> float:
-        """Trace of the square: sum diag^2 + 2 sum offdiag^2 = sum lambda_i^2."""
-        return float(np.dot(self.diag, self.diag) + 2.0 * np.dot(self.offdiag, self.offdiag))
+def _chi_shapes(n: int, beta: float) -> np.ndarray:
+    """The chi shapes j*beta of offdiag[0..n-2], j = n-1..1."""
+    return np.arange(n - 1, 0, -1, dtype=float) * beta
+
+
+def _scale_entries(diag, off, u, shapes, alpha: float) -> None:
+    """In place, on one row or a block of rows: N(0,1) draws in diag, G_{k/2+1}
+    in off and random() in u, k = shapes, become g/sqrt(alpha) and
+    X_k/sqrt(2*alpha) by log_chi's arithmetic, without its shape checks."""
+    np.divide(diag, math.sqrt(alpha), out=diag)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= 2.0 / shapes
+    np.log(off, out=off)
+    off += u
+    off += math.log(2.0)
+    off *= 0.5
+    off -= 0.5 * math.log(2.0 * alpha)
+    np.exp(off, out=off)
 
 
 def sample_matrix(params: EnsembleParams, stream: SeededStream) -> TridiagonalMatrix:
@@ -120,28 +126,16 @@ def sample_matrix(params: EnsembleParams, stream: SeededStream) -> TridiagonalMa
     diag[i] = g/sqrt(alpha); offdiag[0..n-2] = X_{n-1},...,X_1 scaled by
     1/sqrt(2*alpha), with X_j ~ chi(j*beta).  The draw order (n normals, the
     n-1 boosted gammas, then the n-1 uniforms) is part of the reproducibility
-    contract.  This is log_chi's arithmetic done in place on the output
-    arrays, without its shape checks (the shapes j*beta are positive by
-    construction), and bit-identical to building the matrix from log_chi.
+    contract.  The entries come from _scale_entries, which campaigns apply
+    to blocks of rows, bit-identical to building the matrix from log_chi.
     """
     n, alpha, beta = params.n, params.alpha, params.beta
     rng = stream.rng
+    shapes = _chi_shapes(n, beta)
     diag = rng.standard_normal(n)
-    np.divide(diag, math.sqrt(alpha), out=diag)
-    shapes = np.arange(n - 1, 0, -1, dtype=float)
-    shapes *= beta
     off = rng.standard_gamma(shapes / 2.0 + 1.0)
-    log_u = rng.random(n - 1)
-    np.negative(log_u, out=log_u)
-    np.log1p(log_u, out=log_u)
-    np.divide(2.0, shapes, out=shapes)
-    log_u *= shapes
-    np.log(off, out=off)
-    off += log_u
-    off += math.log(2.0)
-    off *= 0.5
-    off -= 0.5 * math.log(2.0 * alpha)
-    np.exp(off, out=off)
+    u = rng.random(n - 1)
+    _scale_entries(diag, off, u, shapes, alpha)
     return TridiagonalMatrix(diag, off, validate=False)
 
 

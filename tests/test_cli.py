@@ -268,6 +268,18 @@ def test_esd_output_is_independent_of_worker_count(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def test_tail_output_is_independent_of_worker_count(tmp_path):
+    # 1200 replicas make 8 chunks of 150 rows; at n = 600 each chunk spans two
+    # sub-blocks of the block sampler's uniform scratch (109 rows).  t = 1.5
+    # sits in the bulk, so q_hat and stderr depend on every sampled matrix
+    outs = [tmp_path / f"tail{w}.csv" for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        assert run_cli("tail", "--schedule", "const", "--c", "0.2", "--n", "60,600",
+                       "--t", "1.5,2.5", "--replicas", "1200", "--seed", "11",
+                       "--workers", str(w), "--out", str(out)) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_inf_and_nan_markers_render(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "60",

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from hitemp import eig, experiments
+from hitemp import cli, eig, experiments
 from hitemp.analytic import energy_I, rate_J
 from hitemp.experiments import (
     ExperimentConfig,
@@ -40,9 +41,13 @@ def test_config_validation():
         cfg_with(n_values=())
 
 
-def test_config_round_trip():
-    cfg = cfg_with(x_grid=(2.2, 2.4), t_grid=(3.0,))
-    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+def test_config_round_trip(tmp_path):
+    # manifests record to_dict(); the CLI's config reader reads it back
+    cfg = cfg_with(x_grid=(2.2, 2.4), t_grid=(3.0,), plus_one_alpha=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert cli._experiment_config(cli._build_parser().parse_args(
+        ["tail", "--config", str(path)])) == cfg
 
 
 def test_cell_seeds_do_not_alias_across_campaigns():
@@ -59,11 +64,29 @@ def test_cell_seeds_do_not_alias_across_campaigns():
 
 
 def test_sample_block_rows_are_sample_matrix():
-    cfg = cfg_with(schedule=RegimeSchedule.constant(0.2), plus_one_alpha=True)
-    diags, offs = _sample_block(cfg, 30, 5, 4)
-    for j in range(4):
-        tri = sample_matrix(cfg.params_for(30), SeededStream(cfg.cell_seed(30), 5 + j))
-        assert np.array_equal(diags[j], tri.diag) and np.array_equal(offs[j], tri.offdiag)
+    # every row is its replica's own stream: n = 2; 200 rows at n = 700 span
+    # three sub-blocks of the 65536-element uniform scratch; nonzero starts;
+    # master seed 3 has cell keys >= 2^63 at n = 2 and 700
+    cases = ((424242, 30, 5, 4), (3, 2, 0, 6), (3, 700, 11, 200))
+    assert all(cfg_with(master_seed=3).cell_seed(n) >= 2**63 for n in (2, 700))
+    assert 200 > 2 * (experiments._SCRATCH_ELEMS // 700)
+    for plus_one_alpha in (False, True):
+        for seed, n, start, count in cases:
+            cfg = cfg_with(schedule=RegimeSchedule.constant(0.2), master_seed=seed,
+                           plus_one_alpha=plus_one_alpha)
+            diags, offs = _sample_block(cfg, n, start, count)
+            assert diags.shape == (count, n) and offs.shape == (count, n - 1)
+            for j in range(count):
+                tri = sample_matrix(cfg.params_for(n), SeededStream(cfg.cell_seed(n), start + j))
+                assert np.array_equal(diags[j], tri.diag) and np.array_equal(offs[j], tri.offdiag)
+    # overlapping blocks agree row for row, so no generator state carries
+    # from one replica to the next
+    cfg = cfg_with(master_seed=3)
+    diags, offs = _sample_block(cfg, 700, 0, 200)
+    for start, count in ((1, 1), (50, 120), (199, 1)):
+        d, o = _sample_block(cfg, 700, start, count)
+        assert np.array_equal(d, diags[start:start + count])
+        assert np.array_equal(o, offs[start:start + count])
 
 
 def _moment_rows_from_separate_blocks(cfg):
