@@ -121,17 +121,6 @@ def phi(z: float, mu) -> float:
     return float(np.mean(np.log(diffs))) - z * z / 4.0
 
 
-def phi_n(z: float, mu, n: int) -> float:
-    """phi with the finite-n quadratic factor n/(n-1); phi_n <= phi pointwise."""
-    if n < 2:
-        raise ValueError(f"phi_n requires n >= 2, got {n}")
-    base = phi(z, mu)
-    if base == -math.inf:
-        return -math.inf
-    z = float(z)
-    return base - (n / (n - 1.0) - 1.0) * z * z / 4.0
-
-
 def rate_J(x: float) -> float:
     """Large-deviation rate of the largest particle at speed n*beta.
 
@@ -180,40 +169,50 @@ def evaluate_rate(x: float, method: str = "closed_form",
     return RateEvaluation(x=x, J=j, phi=phi_val, method=method)
 
 
-def _offdiag_log_mean(atoms: np.ndarray) -> float:
-    """Mean of log|x_i - x_j| over ordered off-diagonal pairs.
+_PAIR_SCRATCH = 32768  # doubles in _offdiag_log_mean's gap buffer (256 KB)
 
-    -inf (as a marker) if two atoms coincide exactly.
+
+def _offdiag_log_mean(atoms: np.ndarray) -> float:
+    """Mean of log|x_i - x_j| over ordered off-diagonal pairs of sorted atoms.
+
+    Row blocks [lo, hi) against the columns lo+1..m-1 fill one scratch buffer
+    with the gaps x_j - x_i; the entries with j <= i at a block's left edge
+    are set to 1, so their log adds 0.  -inf (as a marker) if two atoms
+    coincide exactly, which for sorted atoms means two neighbours do.
     """
     m = atoms.size
-    total = 0.0
-    with np.errstate(divide="ignore"):
-        for i in range(1, m):
-            diffs = atoms[i] - atoms[:i]
-            if np.any(diffs == 0.0):
-                return -math.inf
-            total += float(np.sum(np.log(diffs)))
+    if np.any(atoms[1:] == atoms[:-1]):
+        return -math.inf
+    buf = np.empty(max(m - 1, _PAIR_SCRATCH))
+    total, lo = 0.0, 0
+    while lo < m - 1:
+        width = m - 1 - lo
+        hi = min(m - 1, lo + max(1, _PAIR_SCRATCH // width))
+        gaps = buf[:(hi - lo) * width].reshape(hi - lo, width)
+        np.subtract(atoms[lo + 1:], atoms[lo:hi, None], out=gaps)
+        for r in range(1, hi - lo):
+            gaps[r, :r] = 1.0
+        total += float(np.sum(np.log(gaps, out=gaps)))
+        lo = hi
     return 2.0 * total / (m * (m - 1.0))
 
 
-def energy_I(mu, variant: str = "normalized") -> float:
-    """Empirical-measure energy functional over off-diagonal atom pairs.
+def energy_I(mu) -> tuple[float, float]:
+    """Empirical-measure energy functional over off-diagonal atom pairs, as
+    the pair (normalized, paper).
 
-    variant "paper" evaluates mean[(x^2+y^2)/2] - mean[log|x-y|]/2 - 3/8,
-    which takes the value 3/4 at the semicircle law; variant "normalized"
-    replaces (x^2+y^2)/2 by (x^2+y^2)/8 so the semicircle sits at 0.
-    Diagonal pairs are excluded and the double sum is divided by m(m-1).
-    Coincident atoms make the log term -inf, so the result is the +inf marker.
+    "paper" evaluates mean[(x^2+y^2)/2] - mean[log|x-y|]/2 - 3/8, which takes
+    the value 3/4 at the semicircle law; "normalized" replaces (x^2+y^2)/2 by
+    (x^2+y^2)/8, so the semicircle sits at 0.  Both come from one sort, one
+    second moment m2 and one pair pass, and differ by (3/4)*m2.  Diagonal
+    pairs are excluded and the double sum is divided by m(m-1).  Coincident
+    atoms make the log term -inf, so both results are the +inf marker.
     """
     atoms = np.sort(_atoms_of(mu))
-    m = atoms.size
-    if m < 2:
+    if atoms.size < 2:
         raise ValueError("energy_I needs a measure with at least 2 atoms")
-    if variant not in ("paper", "normalized"):
-        raise ValueError(f"unknown variant {variant!r}")
     m2 = float(np.mean(atoms**2))
     log_mean = _offdiag_log_mean(atoms)
     if log_mean == -math.inf:
-        return math.inf
-    quad_term = m2 if variant == "paper" else m2 / 4.0
-    return quad_term - 0.5 * log_mean - 0.375
+        return math.inf, math.inf
+    return m2 / 4.0 - 0.5 * log_mean - 0.375, m2 - 0.5 * log_mean - 0.375

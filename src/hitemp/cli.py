@@ -16,6 +16,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, _lapack
 from .analytic import evaluate_rate
 from .experiments import (
@@ -150,8 +152,14 @@ def _experiment_config(args) -> ExperimentConfig:
 def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
     if path is None:
         return
+    import platform  # 3 ms to import, and only a manifest needs it
+
     manifest = {
         "tool_version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
         "master_seed": cfg.master_seed,
         "stream_contract": STREAM_CONTRACT,
         "solver": {"lambda_max": f"dstebz, RANGE='I', IL=IU=n, ABSTOL={cfg.solver_tol!r}",

@@ -167,8 +167,7 @@ def _task_measure_stats(task):
         mu = DiscreteMeasure(spectra[j])
         out[j, 0] = w1_to_semicircle(mu)
         out[j, 1] = ks_to_semicircle(mu)
-        out[j, 2] = energy_I(mu, "normalized")
-        out[j, 3] = energy_I(mu, "paper")
+        out[j, 2:] = energy_I(mu)
     return out
 
 

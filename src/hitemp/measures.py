@@ -45,13 +45,6 @@ def from_spectrum(spec: SpectrumResult) -> DiscreteMeasure:
     return DiscreteMeasure(spec.eigenvalues)
 
 
-def moment(mu: DiscreteMeasure, k: int) -> float:
-    """k-th raw moment (1/m) sum atoms^k."""
-    if k < 1:
-        raise ValueError(f"moment order must be >= 1, got {k}")
-    return float(np.mean(mu.atoms ** k))
-
-
 def _cdf_inverse(probs: np.ndarray, lo, hi) -> np.ndarray:
     """Monotone bisection inverse of the semicircle CDF on the bracket
     [lo, hi], which broadcasts against probs."""

@@ -1,10 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from hitemp import analytic
 from hitemp.analytic import (
     SEMICIRCLE,
     energy_I,
@@ -12,7 +12,6 @@ from hitemp.analytic import (
     log_potential_semicircle,
     log_potential_semicircle_quad,
     phi,
-    phi_n,
     rate_J,
     rate_J_quad,
     semicircle_cdf,
@@ -81,32 +80,6 @@ def test_phi_semicircle_at_edge():
 
 def test_phi_atom_coincidence_marker():
     assert phi(1.0, np.array([-1.0, 1.0])) == -math.inf
-    assert phi_n(1.0, np.array([-1.0, 1.0]), 5) == -math.inf
-
-
-@settings(max_examples=80, deadline=None)
-@given(z=st.floats(-10, 10), n=st.integers(2, 10**6))
-def test_phi_n_below_phi(z, n):
-    atoms = np.array([-1.5, 0.25, 2.0])
-    if np.any(np.abs(z - atoms) == 0.0):
-        return
-    assert phi_n(z, atoms, n) <= phi(z, atoms)
-
-
-def test_phi_n_gap_bound_on_grid():
-    # |phi_n - phi| = z^2/(4(n-1)) exactly, hence <= M^2/(4(n-1)) on [-M, M]
-    M = 5.0
-    mu = np.array([-1.234, 0.567])  # off the evaluation grid
-    for n in (10, 100, 1000):
-        for z in np.linspace(-M, M, 41):
-            gap = abs(phi_n(z, mu, n) - phi(z, mu))
-            assert gap <= M * M / (4.0 * (n - 1)) + 1e-15
-            assert gap == pytest.approx(z * z / (4.0 * (n - 1)), abs=1e-12)
-
-
-def test_phi_n_increases_to_phi():
-    vals = [phi_n(1.5, SEMICIRCLE, n) for n in (10, 100, 10000)]
-    assert vals[0] < vals[1] < vals[2] < phi(1.5, SEMICIRCLE)
 
 
 def test_rate_j_edge_and_divergence():
@@ -147,24 +120,88 @@ def test_evaluate_rate_provenance():
 
 def test_energy_normalized_vanishes_at_semicircle_discretization():
     mu = semicircle_quantile_measure(2000)
-    assert abs(energy_I(mu, "normalized")) <= 5e-3
+    assert abs(energy_I(mu)[0]) <= 5e-3
 
 
 def test_energy_paper_variant_offset_at_semicircle():
     # the verbatim functional sits at 3/4, not 0, on the semicircle
     mu = semicircle_quantile_measure(2000)
-    assert energy_I(mu, "paper") == pytest.approx(0.75, abs=5e-3)
+    assert energy_I(mu)[1] == pytest.approx(0.75, abs=5e-3)
 
 
 def test_energy_two_atoms():
     # 2/8 - log(2)/2 - 3/8 = -0.47157359027997265...
-    val = energy_I(np.array([-1.0, 1.0]), "normalized")
+    val = energy_I(np.array([-1.0, 1.0]))[0]
     assert val == pytest.approx(-0.4715735902799727, rel=1e-14)
 
 
 def test_energy_validation_and_markers():
     with pytest.raises(ValueError):
-        energy_I(np.array([0.5]), "normalized")
-    with pytest.raises(ValueError):
-        energy_I(np.array([0.0, 1.0]), "weird")
-    assert energy_I(np.array([1.0, 1.0]), "normalized") == math.inf
+        energy_I(np.array([0.5]))
+    assert energy_I(np.array([1.0, 1.0])) == (math.inf, math.inf)
+
+
+def _dense_log_mean(atoms):
+    # every ordered pair i != j, one row of |a_i - a_j| at a time, no blocking
+    total = 0.0
+    for i in range(atoms.size):
+        gaps = np.abs(atoms[i] - atoms)
+        gaps[i] = 1.0
+        total += float(np.sum(np.log(gaps)))
+    return total / (atoms.size * (atoms.size - 1.0))
+
+
+def _test_atoms(m, seed):
+    # atoms of both signs; from m = 4 on, one pair 1e-12 apart
+    if m == 2:
+        return np.array([1.5, -0.5])
+    if m == 3:
+        return np.array([0.75, -2.25, 1.0])
+    atoms = np.random.default_rng(seed).uniform(-3.0, 2.0, m)
+    atoms[m // 2] = atoms[m // 3] + 1e-12
+    return atoms
+
+
+@pytest.mark.parametrize("scratch", [analytic._PAIR_SCRATCH, 64])
+@pytest.mark.parametrize("m", [2, 3, 127, 128, 129, 181, 182, 183, 255, 256, 257, 2000, 4097])
+def test_offdiag_log_mean_matches_dense_pair_sum(m, scratch, monkeypatch):
+    # scratch 64 puts one row per block from m = 66 on, wider than the buffer
+    monkeypatch.setattr(analytic, "_PAIR_SCRATCH", scratch)
+    atoms = _test_atoms(m, seed=m)
+    want = _dense_log_mean(atoms)
+    assert abs(want) > 0.05
+    got = analytic._offdiag_log_mean(np.sort(atoms))
+    assert got == pytest.approx(want, rel=1e-13)
+    # energy_I sorts unsorted input itself
+    m2 = float(np.mean(atoms**2))
+    normalized, paper = energy_I(atoms)
+    assert normalized == pytest.approx(m2 / 4.0 - 0.5 * want - 0.375, rel=1e-13)
+    assert paper == pytest.approx(m2 - 0.5 * want - 0.375, rel=1e-13)
+
+
+@pytest.mark.parametrize("where", ["same block", "adjacent blocks", "last row"])
+def test_offdiag_log_mean_coincident_atoms_are_the_inf_marker(where):
+    m = 2000
+    rows = analytic._PAIR_SCRATCH // (m - 1)  # rows in the first block
+    i = {"same block": 3, "adjacent blocks": rows - 1, "last row": m - 2}[where]
+    atoms = np.sort(np.random.default_rng(5).uniform(-3.0, 2.0, m))
+    atoms[i + 1] = atoms[i]
+    shuffled = np.random.default_rng(6).permutation(atoms)
+    with np.errstate(all="raise"):  # the marker comes before any log(0)
+        assert analytic._offdiag_log_mean(atoms) == -math.inf
+        assert energy_I(shuffled) == (math.inf, math.inf)
+
+
+def test_offdiag_log_mean_memory_stays_at_the_scratch_buffer():
+    # numpy reports its buffers to tracemalloc.  At m = 4097 an m x m gap
+    # matrix would be 134 MB; the scratch buffer is 256 KB, plus up to 128 KB
+    # of numpy's own ufunc buffers for the broadcast subtraction, and a fresh
+    # 256 KB temporary per block would cross the bound
+    atoms = np.sort(np.random.default_rng(8).uniform(-3.0, 2.0, 4097))
+    tracemalloc.start()
+    try:
+        analytic._offdiag_log_mean(atoms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * analytic._PAIR_SCRATCH

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -95,6 +96,10 @@ def test_manifest_round_trip(tmp_path):
     meta = json.loads(manifest.read_text())
     assert meta["master_seed"] == 321
     assert meta["tool_version"] == "0.3.0"
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    assert meta["platform"] == platform.platform()
+    assert meta["nproc"] == os.cpu_count()
     assert "SeedSequence((master_seed mod 2^64, n))" in meta["stream_contract"]
     assert meta["solver"] == {"lambda_max": "dstebz, RANGE='I', IL=IU=n, ABSTOL=1e-12",
                               "spectra": "dsterf",

@@ -287,7 +287,8 @@ def test_energy_variant_difference_identity():
     # paper minus normalized equals (3/8) * mean of (x^2 + y^2) over pairs,
     # i.e. (3/4) * second moment, for any measure
     mu = semicircle_quantile_measure(300)
-    diff = energy_I(mu, "paper") - energy_I(mu, "normalized")
+    normalized, paper = energy_I(mu)
+    diff = paper - normalized
     m2 = float(np.mean(mu.atoms**2))
     assert diff == pytest.approx(0.75 * m2, rel=1e-12)
 
