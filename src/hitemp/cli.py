@@ -1,6 +1,9 @@
 """Command-line entry point: matrix sampling, spectra, rate tables, partition
 ratio sweeps and the Monte Carlo experiments, with stable CSV output formats.
 
+Each subcommand is one entry of the command table COMMANDS.  `main` builds the
+parser of the invoked subcommand alone, and of all of them for help or a bad name.
+
 All CSV output is locale-independent: '.' decimal separator, '\\n' line
 endings, 17 significant digits.  Infinite markers render as 'inf'/'-inf',
 undefined values as 'nan'.  Exit codes: 0 success, 1 assertion failure,
@@ -10,9 +13,11 @@ undefined values as 'nan'.  Exit codes: 0 success, 1 assertion failure,
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 
@@ -43,9 +48,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path, header: list, rows: list) -> None:
-    text = ",".join(header) + "\n" + "".join(
-        ",".join(_fmt(v) for v in row) + "\n" for row in rows)
+def _write_csv(path, header, rows: list) -> None:
+    """With header None, the rows alone."""
+    lines = [",".join(header)] if header else []
+    text = "".join(line + "\n" for line in lines + [",".join(map(_fmt, row)) for row in rows])
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
@@ -54,18 +60,27 @@ def _write_csv(path, header: list, rows: list) -> None:
 
 
 def _parse_grid(text: str) -> list:
-    """Either 'start:step:stop' (inclusive) or a comma-separated list."""
-    if ":" in text:
-        start, step, stop = (float(p) for p in text.split(":"))
-        if step <= 0 or stop < start:
-            raise ValueError(f"bad grid {text!r}")
-        count = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p]
+    """Either 'start:step:stop' (inclusive) or a comma-separated list, of finite values."""
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [p for p in text.split(",") if p]
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
+    if not ranged:
+        return values
+    start, step, stop = values
+    if step <= 0 or stop < start:
+        raise ValueError(f"bad grid {text!r}")
+    count = int(round((stop - start) / step)) + 1
+    return [start + i * step for i in range(count)]
 
 
 def _parse_n_list(text: str) -> list:
-    return [int(float(p)) for p in text.split(",") if p]
+    """Comma-separated integral sizes; '1e3' is 1000, '200.7' an error."""
+    sizes = [float(p) for p in text.split(",") if p]
+    if not all(n.is_integer() for n in sizes):
+        raise argparse.ArgumentTypeError(f"sizes must be integers, got {text!r}")
+    return [int(n) for n in sizes]
 
 
 def _resolve_workers(flag_value, config_value) -> int:
@@ -80,7 +95,7 @@ def _resolve_workers(flag_value, config_value) -> int:
 
 
 def _schedule_from_args(args, config: dict) -> RegimeSchedule:
-    name = args.schedule if args.schedule is not None else None
+    name = args.schedule
     if name is None and "schedule" in config:
         return RegimeSchedule.from_dict(config["schedule"])
     if name is None:
@@ -143,9 +158,7 @@ def _experiment_config(args) -> ExperimentConfig:
         master_seed=int(pick(args.seed, "master_seed", 20260101)),
         solver_tol=float(pick(args.tol, "solver_tol", 1e-12)),
         workers=_resolve_workers(args.workers, config.get("workers")),
-        plus_one_alpha=bool(pick(
-            True if getattr(args, "plus_one_alpha", False) else None,
-            "plus_one_alpha", False)),
+        plus_one_alpha=bool(pick(args.plus_one_alpha or None, "plus_one_alpha", False)),
     )
 
 
@@ -189,7 +202,8 @@ TOL_HELP = ("eigensolver tolerance: LAPACK dstebz's ABSTOL for lambda_max; full 
             "come from dsterf, which takes none")
 
 
-def _add_experiment_flags(sp, with_x=False, with_t=False):
+def _add_experiment_flags(sp, grid=None):
+    """The flags of a campaign subcommand; grid names its --x or --t grid, if any."""
     sp.add_argument("--schedule", help="invlogsq | invlog | power | const")
     sp.add_argument("--c", type=float, help="schedule coefficient")
     sp.add_argument("--p", type=float, help="log-power exponent (invlog)")
@@ -204,19 +218,11 @@ def _add_experiment_flags(sp, with_x=False, with_t=False):
     sp.add_argument("--out", help="CSV output path (default stdout)")
     sp.add_argument("--summary", help="JSON pass/fail summary path")
     sp.add_argument("--manifest", help="run-manifest JSON path")
-    if with_x:
-        sp.add_argument("--x", type=_parse_grid, help="x grid 'a:step:b' or comma list")
-    if with_t:
-        sp.add_argument("--t", type=_parse_grid, help="t grid 'a:step:b' or comma list")
+    if grid is not None:
+        sp.add_argument(grid, type=_parse_grid, help=f"{grid[2:]} grid 'a:step:b' or comma list")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="hitemp",
-        description="Gaussian beta-ensemble at high temperature: sampling, spectra and rate diagnostics.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("sample", help="emit one tridiagonal matrix dump")
+def _add_sample_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--seed", type=int, default=20260101)
@@ -224,17 +230,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--plus-one-alpha", action="store_true")
     sp.add_argument("--out", required=True, help="dump file path")
 
-    sp = sub.add_parser("eig", help="spectrum of a dumped matrix, one eigenvalue per line")
+
+def _add_eig_args(sp):
     sp.add_argument("--matrix", required=True)
     sp.add_argument("--tol", type=float, default=None, help=TOL_HELP)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("rate", help="rate-function table over an x grid")
+
+def _add_rate_args(sp):
     sp.add_argument("--x", type=_parse_grid, required=True)
     sp.add_argument("--method", choices=["closed_form", "quadrature"], default="closed_form")
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("partition", help="partition-ratio comparison sweep")
+
+def _add_partition_args(sp):
     sp.add_argument("--schedule", required=True)
     sp.add_argument("--c", type=float, default=1.0)
     sp.add_argument("--p", type=float, default=None)
@@ -242,75 +251,60 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=_parse_n_list, required=True)
     sp.add_argument("--out", default=None)
 
-    sp = sub.add_parser("tail", help="largest-particle tail bound check")
-    _add_experiment_flags(sp, with_t=True)
 
-    sp = sub.add_parser("sweep", help="LDP tail sweep: empirical rate vs J")
-    _add_experiment_flags(sp, with_x=True)
-
-    sp = sub.add_parser("esd", help="empirical-spectral-measure convergence check")
-    _add_experiment_flags(sp)
-
-    sp = sub.add_parser("check", help="run the acceptance suite")
+def _add_check_args(sp):
     sp.add_argument("--workers", type=int, default=None)
     sp.add_argument("--quick", action="store_true",
                     help="reduced replica counts; smoke mode, not the official gate")
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or with `command` of that one alone."""
+    ap = argparse.ArgumentParser(
+        prog="hitemp",
+        description="Gaussian beta-ensemble at high temperature: sampling, spectra and rate diagnostics.")
+    # one subparser alone would make the usage line list only its name; an
+    # explicit metavar on the full parser would rename "command" in its errors
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for cmd in COMMANDS.values():
+        if command in (None, cmd.name):
+            cmd.add_arguments(sub.add_parser(cmd.name, help=cmd.help))
     return ap
-
-
-SWEEP_HEADER = ["n", "beta", "x", "p_hat", "stderr", "j_hat", "j_theory", "rel_err"]
-PARTITION_HEADER = ["lemma", "n", "beta", "exact", "asymptotic", "gap"]
-TAIL_HEADER = ["n", "beta", "t", "q_hat", "stderr", "log_bound", "pass"]
-ESD_HEADER = ["n", "beta", "w1_mean", "ks_mean", "energy_norm", "energy_paper"]
 
 
 def _cmd_sample(args) -> int:
     params = make_params(args.n, args.beta, plus_one_alpha=args.plus_one_alpha)
-    tri = sample_matrix(params, SeededStream(args.seed, args.stream))
-    dump_matrix(tri, args.out)
+    dump_matrix(sample_matrix(params, SeededStream(args.seed, args.stream)), args.out)
     return 0
 
 
 def _cmd_eig(args) -> int:
-    tri = load_matrix(args.matrix)
-    spec = eigmod.full_spectrum(tri, args.tol)
-    text = "".join(f"{v:.17g}\n" for v in spec.eigenvalues)
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+    spec = eigmod.full_spectrum(load_matrix(args.matrix), args.tol)
+    _write_csv(args.out, None, [[v] for v in spec.eigenvalues])
     return 0
 
 
 def _cmd_rate(args) -> int:
-    rows = []
-    for x in args.x:
-        ev = evaluate_rate(x, method=args.method)
-        rows.append([ev.x, ev.J, ev.phi])
-    _write_csv(args.out, ["x", "J", "phi"], rows)
+    evs = [evaluate_rate(x, method=args.method) for x in args.x]
+    _write_csv(args.out, ["x", "J", "phi"], [[ev.x, ev.J, ev.phi] for ev in evs])
     return 0
 
 
 def _cmd_partition(args) -> int:
     schedule = _schedule_from_args(args, {})
-    rows = []
     comparisons = [compare_ratios(n, schedule.beta(n)) for n in args.n]
-    for which in (0, 1):  # all shift rows, then all perturbed rows
-        for comp in comparisons:
-            r = comp[which]
-            rows.append([r.lemma, r.n, r.beta, r.exact_log_ratio,
-                         r.asymptotic_log_ratio, r.gap])
-    _write_csv(args.out, PARTITION_HEADER, rows)
+    rows = [[r.lemma, r.n, r.beta, r.exact_log_ratio, r.asymptotic_log_ratio, r.gap]
+            for lemma in zip(*comparisons) for r in lemma]  # all shift rows, then all perturbed
+    _write_csv(args.out, ["lemma", "n", "beta", "exact", "asymptotic", "gap"], rows)
     return 0
 
 
 def _cmd_tail(args) -> int:
     cfg = _experiment_config(args)
     report = run_tailbound_check(cfg)
-    rows = [[r.n, r.beta, r.t, r.q_hat, r.stderr, r.log_bound, r.passed]
-            for r in report.rows]
-    _write_csv(args.out, TAIL_HEADER, rows)
+    rows = [[r.n, r.beta, r.t, r.q_hat, r.stderr, r.log_bound, r.passed] for r in report.rows]
+    _write_csv(args.out, ["n", "beta", "t", "q_hat", "stderr", "log_bound", "pass"], rows)
     _write_summary(args.summary, report.checks)
     _write_manifest(args.manifest, cfg, [args.out])
     return 0 if all(c.passed for c in report.checks) else 1
@@ -320,7 +314,7 @@ def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
     rows = [[r.n, r.beta, r.x, r.p_hat, r.stderr, r.j_hat, r.j_theory, r.rel_err]
             for r in run_tail_sweep(cfg)]
-    _write_csv(args.out, SWEEP_HEADER, rows)
+    _write_csv(args.out, ["n", "beta", "x", "p_hat", "stderr", "j_hat", "j_theory", "rel_err"], rows)
     _write_manifest(args.manifest, cfg, [args.out])
     return 0
 
@@ -330,7 +324,7 @@ def _cmd_esd(args) -> int:
     report = run_esd_check(cfg)
     rows = [[r.n, r.beta, r.w1_mean, r.ks_mean, r.energy_norm_mean, r.energy_paper_mean]
             for r in report.rows]
-    _write_csv(args.out, ESD_HEADER, rows)
+    _write_csv(args.out, ["n", "beta", "w1_mean", "ks_mean", "energy_norm", "energy_paper"], rows)
     _write_summary(args.summary, report.checks)
     _write_manifest(args.manifest, cfg, [args.out])
     return 0 if all(c.passed for c in report.checks) else 1
@@ -339,25 +333,31 @@ def _cmd_esd(args) -> int:
 def _cmd_check(args) -> int:
     from .acceptance import run_all
 
-    workers = _resolve_workers(args.workers, None)
-    results = run_all(workers=workers, quick=args.quick, log=print)
+    results = run_all(workers=_resolve_workers(args.workers, None), quick=args.quick, log=print)
     return 0 if all(r.passed for r in results) else 1
 
 
+# add_arguments(subparser) declares a subcommand's arguments; handler(args) runs it
+Command = collections.namedtuple("Command", "name help add_arguments handler")
+COMMANDS = {cmd.name: cmd for cmd in (
+    Command("sample", "emit one tridiagonal matrix dump", _add_sample_args, _cmd_sample),
+    Command("eig", "spectrum of a dumped matrix, one eigenvalue per line", _add_eig_args, _cmd_eig),
+    Command("rate", "rate-function table over an x grid", _add_rate_args, _cmd_rate),
+    Command("partition", "partition-ratio comparison sweep", _add_partition_args, _cmd_partition),
+    Command("tail", "largest-particle tail bound check",
+            lambda sp: _add_experiment_flags(sp, "--t"), _cmd_tail),
+    Command("sweep", "LDP tail sweep: empirical rate vs J",
+            lambda sp: _add_experiment_flags(sp, "--x"), _cmd_sweep),
+    Command("esd", "empirical-spectral-measure convergence check", _add_experiment_flags, _cmd_esd),
+    Command("check", "run the acceptance suite", _add_check_args, _cmd_check),
+)}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    handlers = {
-        "sample": _cmd_sample,
-        "eig": _cmd_eig,
-        "rate": _cmd_rate,
-        "partition": _cmd_partition,
-        "tail": _cmd_tail,
-        "sweep": _cmd_sweep,
-        "esd": _cmd_esd,
-        "check": _cmd_check,
-    }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command].handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"hitemp: error: {exc}", file=sys.stderr)
         return 2

@@ -181,6 +181,74 @@ def test_usage_errors_exit_two(tmp_path):
                    "--out", str(tmp_path / "m.txt")) == 2  # n >= 2
 
 
+@pytest.mark.parametrize("sizes", ["200.7", "60,200.5", "inf", "nan"])
+def test_non_integral_sizes_are_usage_errors(tmp_path, capsys, sizes):
+    # int(float(p)) ran "--n 200.7" at n = 200 and exited 0
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", sizes, "--replicas", "20",
+                "--x", "2.3", "--workers", "1", "--out", str(out))
+    assert exc.value.code == 2
+    assert "argument --n:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("sweep", "--x"), ("tail", "--t"), ("rate", "--x")])
+@pytest.mark.parametrize("grid", ["nan", "2.3,inf", "-inf", "2:nan:3", "2:0.1:inf"])
+def test_non_finite_grid_values_are_usage_errors(tmp_path, capsys, command, flag, grid):
+    # "tail --t nan" exited 1 with a NaN row, "sweep --x inf" 0 with j_theory = nan
+    out = tmp_path / "out.csv"
+    campaign = [] if command == "rate" else [
+        "--schedule", "const", "--c", "0.2", "--n", "50", "--replicas", "20", "--workers", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, f"{flag}={grid}", *campaign, "--out", str(out))
+    assert exc.value.code == 2
+    assert f"argument {flag}: grid values must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _exit_texts(capsys, parse):
+    with pytest.raises(SystemExit) as exc:
+        parse()
+    return (*capsys.readouterr(), exc.value.code)
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["frobnicate"], ["sweep", "--bogus"],
+                                  ["sweep", "foo"], ["rate"]]
+                         + [[name, "--help"] for name in cli.COMMANDS], ids=repr)
+def test_lazy_parser_matches_the_full_parser(capsys, argv):
+    full = _exit_texts(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert _exit_texts(capsys, lambda: run_cli(*argv)) == full
+
+
+def test_main_builds_only_the_invoked_subcommand(monkeypatch, capsys):
+    build, built = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or build(command))
+    assert run_cli("rate", "--x", "2.5") == 0
+    with pytest.raises(SystemExit):
+        run_cli("frobnicate")
+    assert built == ["rate", None]
+    with pytest.raises(SystemExit) as exc:  # the rate parser knows no other subcommand
+        build("rate").parse_args(["eig", "--matrix", "m.txt"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'eig'" in capsys.readouterr().err
+
+
+def test_campaign_runners_are_looked_up_on_cli_at_call_time(tmp_path, monkeypatch):
+    # perfbench's tracer wraps these names on the cli module; a handler that
+    # bound them at import time would run past its wrappers
+    ran = []
+    for name in ("run_tail_sweep", "run_esd_check", "run_tailbound_check"):
+        monkeypatch.setattr(cli, name, lambda cfg, real=getattr(cli, name), name=name:
+                            ran.append(name) or real(cfg))
+    campaign = ["--schedule", "const", "--c", "0.2", "--n", "40", "--replicas", "8",
+                "--seed", "3", "--workers", "1"]
+    assert run_cli("sweep", *campaign, "--x", "2.3", "--out", str(tmp_path / "sweep.csv")) == 0
+    assert run_cli("esd", *campaign, "--out", str(tmp_path / "esd.csv")) == 0
+    assert run_cli("tail", *campaign, "--t", "3", "--out", str(tmp_path / "tail.csv")) == 0
+    assert ran == ["run_tail_sweep", "run_esd_check", "run_tailbound_check"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf"])
 def test_eig_rejects_a_non_finite_tol(tmp_path, capsys, tol):
     # a NaN tol fails every comparison, so a "tol <= 0" check lets it through
@@ -245,9 +313,9 @@ def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):
     assert "schedule lacks key(s) 'kind'" in capsys.readouterr().err
 
     # a KeyError inside a handler is a bug, not a usage error
-    def broken(args):
+    def broken(x, method):
         raise KeyError("internal")
-    monkeypatch.setattr(cli, "_cmd_rate", broken)
+    monkeypatch.setattr(cli, "evaluate_rate", broken)
     with pytest.raises(KeyError):
         run_cli("rate", "--x", "2.5")
 
