@@ -15,9 +15,9 @@ from .analytic import (  # noqa: F401
     semicircle_cdf,
     semicircle_pdf,
 )
-from .eig import SpectrumResult, full_spectrum, gershgorin, lambda_max, sturm_count  # noqa: F401
+from .eig import full_spectrum, gershgorin, lambda_max, sturm_count  # noqa: F401
 from .experiments import ExperimentConfig  # noqa: F401
-from .measures import DiscreteMeasure, from_spectrum, ks_to_semicircle, w1_to_semicircle  # noqa: F401
+from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle  # noqa: F401
 from .model import EnsembleParams, RegimeSchedule, make_params, regime_report  # noqa: F401
 from .partition import (  # noqa: F401
     exact_log_ratio_perturbed,

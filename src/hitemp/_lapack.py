@@ -57,23 +57,23 @@ def _batch(diags, offdiags):
     return d, e
 
 
-def largest_eigenvalues(diags, offdiags, abstols) -> np.ndarray:
+def largest_eigenvalues(diags, offdiags, abstol: float) -> np.ndarray:
     """The largest eigenvalue of each matrix of a batch, by dstebz with
-    RANGE='I', IL=IU=n and ABSTOL=abstols[i]."""
+    RANGE='I', IL=IU=n and ABSTOL=abstol."""
     _, dstebz, _ = library()
     d, e = _batch(diags, offdiags)
     r, n = d.shape
-    abstols = np.ascontiguousarray(np.broadcast_to(abstols, (r,)), dtype=np.float64)
     out = np.empty(r)
-    # integers N, IL, IU, M, NSPLIT, INFO; VL = VU = 0 is unused with RANGE='I'
-    ints, vl = np.array([n, n, n, 0, 0, 0], dtype=np.int64), np.zeros(1)
+    # integers N, IL, IU, M, NSPLIT, INFO; reals VL = VU = 0, unused with
+    # RANGE='I', and ABSTOL
+    ints, reals = np.array([n, n, n, 0, 0, 0], dtype=np.int64), np.array([0.0, abstol])
     w, work = np.empty(n), np.empty(4 * n)
     iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
     n_p, il_p, iu_p, m_p, nsplit_p, info_p = (ints.ctypes.data + 8 * k for k in range(6))
-    vl_p, d_p, e_p, tol_p = (a.ctypes.data for a in (vl, d, e, abstols))
+    vl_p, tol_p, d_p, e_p = reals.ctypes.data, reals.ctypes.data + 8, d.ctypes.data, e.ctypes.data
     work_ps = [a.ctypes.data for a in (w, iblock, isplit, work, iwork)]
     for i in range(r):
-        dstebz(b"I", b"E", n_p, vl_p, vl_p, il_p, iu_p, tol_p + 8 * i, d_p + i * d.strides[0],
+        dstebz(b"I", b"E", n_p, vl_p, vl_p, il_p, iu_p, tol_p, d_p + i * d.strides[0],
                e_p + i * e.strides[0], m_p, nsplit_p, *work_ps, info_p, 1, 1)
         if ints[5] != 0 or ints[3] != 1:
             raise RuntimeError(f"dstebz failed on matrix {i}: INFO={ints[5]}, M={ints[3]}")

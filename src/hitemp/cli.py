@@ -59,8 +59,13 @@ def _write_csv(path, header, rows: list) -> None:
             fh.write(text)
 
 
+# the most points an 'a:step:b' grid may expand to
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid(text: str) -> list:
-    """Either 'start:step:stop' (inclusive) or a comma-separated list, of finite values."""
+    """Either 'start:step:stop' (inclusive, at most _MAX_GRID_POINTS points) or
+    a comma-separated list, of finite values."""
     ranged = ":" in text
     parts = text.split(":") if ranged else [p for p in text.split(",") if p]
     values = [float(p) for p in parts]
@@ -71,8 +76,10 @@ def _parse_grid(text: str) -> list:
     start, step, stop = values
     if step <= 0 or stop < start:
         raise ValueError(f"bad grid {text!r}")
-    count = int(round((stop - start) / step)) + 1
-    return [start + i * step for i in range(count)]
+    span = (stop - start) / step  # inf when stop - start overflows
+    if span > _MAX_GRID_POINTS - 1:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(int(round(span)) + 1)]
 
 
 def _parse_n_list(text: str) -> list:
@@ -198,12 +205,9 @@ def _write_summary(path, checks) -> None:
         fh.write("\n")
 
 
-TOL_HELP = ("eigensolver tolerance: LAPACK dstebz's ABSTOL for lambda_max; full spectra "
-            "come from dsterf, which takes none")
-
-
-def _add_experiment_flags(sp, grid=None):
-    """The flags of a campaign subcommand; grid names its --x or --t grid, if any."""
+def _add_experiment_flags(sp, grid=None, summary=True):
+    """The flags of a campaign subcommand; grid names its --x or --t grid, if
+    any, and summary adds --summary for a subcommand with pass/fail checks."""
     sp.add_argument("--schedule", help="invlogsq | invlog | power | const")
     sp.add_argument("--c", type=float, help="schedule coefficient")
     sp.add_argument("--p", type=float, help="log-power exponent (invlog)")
@@ -211,12 +215,14 @@ def _add_experiment_flags(sp, grid=None):
     sp.add_argument("--n", type=_parse_n_list, help="comma list of ensemble sizes")
     sp.add_argument("--replicas", type=int)
     sp.add_argument("--seed", type=int, help="master seed")
-    sp.add_argument("--tol", type=float, help=TOL_HELP)
+    sp.add_argument("--tol", type=float, help="eigensolver tolerance: LAPACK dstebz's ABSTOL for "
+                    "lambda_max; full spectra come from dsterf, which takes none")
     sp.add_argument("--workers", type=int, help="worker processes (env HITEMP_WORKERS, then core count)")
     sp.add_argument("--plus-one-alpha", action="store_true", help="use alpha = 1 + n*beta/2")
     sp.add_argument("--config", help="JSON config file or run manifest")
     sp.add_argument("--out", help="CSV output path (default stdout)")
-    sp.add_argument("--summary", help="JSON pass/fail summary path")
+    if summary:
+        sp.add_argument("--summary", help="JSON pass/fail summary path")
     sp.add_argument("--manifest", help="run-manifest JSON path")
     if grid is not None:
         sp.add_argument(grid, type=_parse_grid, help=f"{grid[2:]} grid 'a:step:b' or comma list")
@@ -233,7 +239,6 @@ def _add_sample_args(sp):
 
 def _add_eig_args(sp):
     sp.add_argument("--matrix", required=True)
-    sp.add_argument("--tol", type=float, default=None, help=TOL_HELP)
     sp.add_argument("--out", default=None)
 
 
@@ -280,8 +285,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    spec = eigmod.full_spectrum(load_matrix(args.matrix), args.tol)
-    _write_csv(args.out, None, [[v] for v in spec.eigenvalues])
+    _write_csv(args.out, None, [[v] for v in eigmod.full_spectrum(load_matrix(args.matrix))])
     return 0
 
 
@@ -347,7 +351,7 @@ COMMANDS = {cmd.name: cmd for cmd in (
     Command("tail", "largest-particle tail bound check",
             lambda sp: _add_experiment_flags(sp, "--t"), _cmd_tail),
     Command("sweep", "LDP tail sweep: empirical rate vs J",
-            lambda sp: _add_experiment_flags(sp, "--x"), _cmd_sweep),
+            lambda sp: _add_experiment_flags(sp, "--x", summary=False), _cmd_sweep),
     Command("esd", "empirical-spectral-measure convergence check", _add_experiment_flags, _cmd_esd),
     Command("check", "run the acceptance suite", _add_check_args, _cmd_check),
 )}

@@ -2,11 +2,10 @@
 by LAPACK, Sturm counts and Gershgorin brackets.
 
 lambda_max is LAPACK's dstebz (bisection, RANGE='I', IL=IU=n) with ABSTOL =
-tol, and a full spectrum is dsterf (Pal-Walker-Kahan QL/QR, no tolerance),
-both from the OpenBLAS that the numpy wheel ships (`_lapack`).  Each matrix
-of a batch is solved on its own, and tol=None means `default_tol` of the
-matrix's own Gershgorin bracket, so a row's result does not depend on what
-else sits in the batch.
+tol, which every caller gives, and a full spectrum is dsterf (Pal-Walker-Kahan
+QL/QR), which reads no tolerance; both come from the OpenBLAS that the numpy
+wheel ships (`_lapack`).  Each matrix of a batch is solved on its own, so a
+row's result does not depend on what else sits in the batch.
 
 One shifted LDL^T recurrence (`_sturm_counts`) counts the eigenvalues at or
 below a shift, for a batch of matrices with one or several shifts each; it
@@ -16,22 +15,12 @@ check the LAPACK results independently.  All routines are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _lapack
 from .sampler import TridiagonalMatrix
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    """Sorted eigenvalues with the tolerance they were asked for."""
-
-    eigenvalues: np.ndarray
-    tol: float
 
 
 def _as_batch(tri: TridiagonalMatrix):
@@ -78,61 +67,40 @@ def sturm_count(tri: TridiagonalMatrix, x: float) -> int:
     return int(_sturm_counts(diags, offdiags**2, np.array([float(x)]))[0])
 
 
-def batch_gershgorin(diags, offdiags):
-    r = np.zeros_like(diags)
-    r[:, :-1] += np.abs(offdiags)
-    r[:, 1:] += np.abs(offdiags)
-    return (diags - r).min(axis=1), (diags + r).max(axis=1)
-
-
 def gershgorin(tri: TridiagonalMatrix) -> tuple[float, float]:
     """Interval [lo, hi] containing the whole spectrum."""
-    lo, hi = batch_gershgorin(*_as_batch(tri))
-    return float(lo[0]), float(hi[0])
-
-
-def default_tol(lo, hi):
-    """The tol used when none is given, from a bracket [lo, hi] (or arrays of them)."""
-    return 1e-10 * np.maximum(1.0, hi - lo)
+    diag, off = np.asarray(tri.diag, float), np.abs(np.asarray(tri.offdiag, float))
+    r = np.zeros_like(diag)
+    r[:-1] += off
+    r[1:] += off
+    return float((diag - r).min()), float((diag + r).max())
 
 
 def _check_tol(tol):
-    if tol is not None and not (np.isfinite(tol) and tol > 0):
+    if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
-def _tols(diags, offdiags, tol):
-    """A tol per matrix: the given one, or `default_tol` of the matrix's own
-    Gershgorin bracket, so that a row's result does not depend on the others."""
-    _check_tol(tol)
-    if tol is None:
-        return default_tol(*batch_gershgorin(np.asarray(diags, float), np.asarray(offdiags, float)))
-    return np.full(len(diags), float(tol))
-
-
-def lambda_max_batch(diags, offdiags, tol: float | None = None) -> np.ndarray:
+def lambda_max_batch(diags, offdiags, tol: float) -> np.ndarray:
     """Largest eigenvalue of each matrix in a (replicas, n) batch, by dstebz
     with ABSTOL = tol."""
-    return _lapack.largest_eigenvalues(diags, offdiags, _tols(diags, offdiags, tol))
+    _check_tol(tol)
+    return _lapack.largest_eigenvalues(diags, offdiags, tol)
 
 
-def lambda_max(tri: TridiagonalMatrix, tol: float | None = None) -> float:
+def lambda_max(tri: TridiagonalMatrix, tol: float) -> float:
     """Largest eigenvalue; |result - true| <= tol."""
     return float(lambda_max_batch(*_as_batch(tri), tol)[0])
 
 
-def full_spectrum(tri: TridiagonalMatrix, tol: float | None = None) -> SpectrumResult:
-    """All n eigenvalues by dsterf, sorted nondecreasing; tol is validated and
-    recorded but dsterf takes none."""
-    diags, offdiags = _as_batch(tri)
-    tol = float(_tols(diags, offdiags, tol)[0])
-    return SpectrumResult(eigenvalues=_lapack.spectra(diags, offdiags)[0], tol=tol)
+def full_spectrum(tri: TridiagonalMatrix) -> np.ndarray:
+    """All n eigenvalues by dsterf, sorted nondecreasing."""
+    return _lapack.spectra(*_as_batch(tri))[0]
 
 
-def batch_spectra(diags, offdiags, tol: float | None = None) -> np.ndarray:
+def batch_spectra(diags, offdiags) -> np.ndarray:
     """Full spectra for a (replicas, n) batch by dsterf; returns (replicas, n)
-    sorted.  tol is validated only: dsterf takes none."""
-    _check_tol(tol)
+    sorted."""
     return _lapack.spectra(diags, offdiags)
 
 

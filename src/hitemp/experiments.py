@@ -54,6 +54,9 @@ class ExperimentConfig:
     plus_one_alpha: bool = False
 
     def __post_init__(self):
+        bad = [n for n in self.n_values if not float(n).is_integer()]
+        if bad:
+            raise ValueError(f"n_values must be integers, got {bad[0]!r}")
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
@@ -159,9 +162,9 @@ def _task_abs_tail(task):
 
 
 def _task_measure_stats(task):
-    cfg, _, _, count = task
+    *_, count = task
     diags, offs = _sample_block(*task)
-    spectra = eig.batch_spectra(diags, offs, cfg.solver_tol)
+    spectra = eig.batch_spectra(diags, offs)
     out = np.empty((count, 4))
     for j in range(count):
         mu = DiscreteMeasure(spectra[j])

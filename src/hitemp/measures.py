@@ -17,7 +17,6 @@ from .analytic import (
     semicircle_cdf,
     semicircle_cdf_antiderivative,
 )
-from .eig import SpectrumResult
 from .quadrature import QuadratureSpec, adaptive_quad
 
 
@@ -38,11 +37,6 @@ class DiscreteMeasure:
     @property
     def m(self) -> int:
         return self.atoms.size
-
-
-def from_spectrum(spec: SpectrumResult) -> DiscreteMeasure:
-    """Empirical spectral measure of a solved spectrum."""
-    return DiscreteMeasure(spec.eigenvalues)
 
 
 def _cdf_inverse(probs: np.ndarray, lo, hi) -> np.ndarray:

@@ -39,10 +39,6 @@ def make_params(n: int, beta: float, plus_one_alpha: bool = False) -> EnsemblePa
     With ``plus_one_alpha`` the scale becomes 1 + n*beta/2, the variant under
     which the asymptotic second moment of the spectral measure is exactly 1.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"n must be an integer >= 2, got {n!r}")
-    if not (beta > 0 and math.isfinite(beta)):
-        raise ValueError(f"beta must be a positive finite real, got {beta!r}")
     alpha = n * beta / 2.0
     if plus_one_alpha:
         alpha = 1.0 + alpha

@@ -60,7 +60,7 @@ def test_sample_then_eig_round_trip(tmp_path):
     spectrum_file = tmp_path / "spectrum.txt"
     assert run_cli("eig", "--matrix", str(dump), "--out", str(spectrum_file)) == 0
     got = np.array([float(v) for v in spectrum_file.read_text().split()])
-    want = eig.full_spectrum(load_matrix(dump)).eigenvalues
+    want = eig.full_spectrum(load_matrix(dump))
     assert np.array_equal(got, want)
     assert got.size == 16
 
@@ -207,6 +207,44 @@ def test_non_finite_grid_values_are_usage_errors(tmp_path, capsys, command, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["-1e308:1e-300:1e308", "2:1e-12:3"])
+def test_oversized_grids_are_usage_errors(tmp_path, capsys, grid):
+    # the first overflowed in int(round(...)) and ended in a traceback, the
+    # second asked for 10^12 points
+    out = tmp_path / "rate.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("rate", f"--x={grid}", "--out", str(out))
+    assert exc.value.code == 2
+    assert f"has more than {cli._MAX_GRID_POINTS} points" in capsys.readouterr().err
+    assert not out.exists()
+    assert len(cli._parse_grid(f"0:1:{cli._MAX_GRID_POINTS - 1}")) == cli._MAX_GRID_POINTS
+
+
+def test_sweep_takes_no_summary(tmp_path, capsys):
+    # sweep has no pass/fail checks: its --summary was accepted and wrote nothing
+    summary = tmp_path / "s.json"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--schedule", "const", "--c", "0.2", "--n", "30", "--replicas", "5",
+                "--x", "2.3", "--workers", "1", "--summary", str(summary))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --summary" in capsys.readouterr().err
+    assert not summary.exists()
+
+
+def test_non_integral_config_sizes_are_usage_errors(tmp_path, capsys):
+    # int(n) ran "n_values": [30.7] at n = 30 and exited 0
+    config, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    campaign = ["sweep", "--config", str(config), "--schedule", "const", "--c", "0.2",
+                "--replicas", "5", "--x", "2.3", "--workers", "1", "--out", str(out)]
+    config.write_text(json.dumps({"n_values": [30.7]}))
+    assert run_cli(*campaign) == 2
+    assert "n_values must be integers, got 30.7" in capsys.readouterr().err
+    assert not out.exists()
+    config.write_text(json.dumps({"n_values": [30.0]}))
+    assert run_cli(*campaign) == 0
+    assert read_csv(out)[1][0][0] == "30"
+
+
 def _exit_texts(capsys, parse):
     with pytest.raises(SystemExit) as exc:
         parse()
@@ -249,14 +287,15 @@ def test_campaign_runners_are_looked_up_on_cli_at_call_time(tmp_path, monkeypatc
     assert ran == ["run_tail_sweep", "run_esd_check", "run_tailbound_check"]
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_eig_rejects_a_non_finite_tol(tmp_path, capsys, tol):
-    # a NaN tol fails every comparison, so a "tol <= 0" check lets it through
+def test_eig_takes_no_tol(tmp_path, capsys):
+    # dsterf reads no tolerance, so eig has no --tol to set
     dump = tmp_path / "m.txt"
     assert run_cli("sample", "--n", "5", "--beta", "0.3", "--seed", "5", "--out", str(dump)) == 0
-    assert run_cli("eig", "--matrix", str(dump), "--tol", tol) == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eig", "--matrix", str(dump), "--tol", "1e-12")
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert "hitemp: error:" in captured.err and captured.out == ""
+    assert "unrecognized arguments: --tol 1e-12" in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf"])

@@ -6,23 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitemp import eig
-from hitemp.eig import SpectrumResult
 from hitemp.measures import (
     DiscreteMeasure,
-    from_spectrum,
     ks_to_semicircle,
     semicircle_quantile_measure,
     w1_to_semicircle,
 )
 from hitemp.model import make_params
 from hitemp.sampler import SeededStream, sample_matrix
-
-
-def test_from_spectrum_preserves_atoms():
-    spec = SpectrumResult(eigenvalues=np.array([-1.0, 1.0]), tol=1e-10)
-    mu = from_spectrum(spec)
-    assert np.array_equal(mu.atoms, [-1.0, 1.0])
-    assert mu.m == 2
 
 
 def test_measure_sorts_input():
@@ -104,7 +95,7 @@ def test_w1_of_sampled_ensembles_improves_with_n(workers):
                 m = sample_matrix(params, SeededStream(1234 + n, s0 + j))
                 diags[j] = m.diag
                 offs[j] = m.offdiag
-            spectra = eig.batch_spectra(diags, offs, 1e-11)
+            spectra = eig.batch_spectra(diags, offs)
             for j in range(cnt):
                 vals[s0 + j] = w1_to_semicircle(DiscreteMeasure(spectra[j]))
         med[n] = float(np.median(vals))
