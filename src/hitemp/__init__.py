@@ -5,15 +5,12 @@ desk-scale large-deviations experiments."""
 __version__ = "0.3.0"
 
 from .analytic import (  # noqa: F401
-    SEMICIRCLE,
     RateEvaluation,
     energy_I,
     evaluate_rate,
     log_potential_semicircle,
-    phi,
     rate_J,
     semicircle_cdf,
-    semicircle_pdf,
 )
 from .eig import full_spectrum, gershgorin, lambda_max, sturm_count  # noqa: F401
 from .experiments import ExperimentConfig  # noqa: F401

@@ -17,25 +17,6 @@ import numpy as np
 from .quadrature import QuadratureSpec, adaptive_quad
 
 
-class _Semicircle:
-    """Marker object selecting the semicircle law as a potential's measure."""
-
-    def __repr__(self):
-        return "SEMICIRCLE"
-
-
-SEMICIRCLE = _Semicircle()
-
-
-def semicircle_pdf(x):
-    """Density sqrt(4 - x^2)/(2*pi) on [-2, 2], zero outside."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) <= 2.0
-    out[inside] = np.sqrt(4.0 - x[inside] ** 2) / (2.0 * math.pi)
-    return float(out) if out.ndim == 0 else out
-
-
 def semicircle_cdf(x):
     """Distribution function: 1/2 + x*sqrt(4-x^2)/(4*pi) + asin(x/2)/pi."""
     x = np.asarray(x, dtype=float)
@@ -104,29 +85,13 @@ def _atoms_of(mu) -> np.ndarray:
     return np.asarray(atoms, dtype=float)
 
 
-def phi(z: float, mu) -> float:
-    """Log-potential field phi(z, mu) = int log|z - y| dmu(y) - z^2/4.
-
-    mu is either the SEMICIRCLE marker or anything carrying equal-weight
-    atoms (a DiscreteMeasure or a plain array).  Returns -inf when z sits
-    exactly on an atom.
-    """
-    z = float(z)
-    if mu is SEMICIRCLE:
-        return log_potential_semicircle(z) - z * z / 4.0
-    atoms = _atoms_of(mu)
-    diffs = np.abs(z - atoms)
-    if np.any(diffs == 0.0):
-        return -math.inf
-    return float(np.mean(np.log(diffs))) - z * z / 4.0
-
-
 def rate_J(x: float) -> float:
     """Large-deviation rate of the largest particle at speed n*beta.
 
     +inf below 2; for x >= 2 the closed form
-    x*sqrt(x^2-4)/4 - log((x + sqrt(x^2-4))/2), which is exactly
-    -phi(x, semicircle) - 1/2 and vanishes at the edge x = 2.
+    x*sqrt(x^2-4)/4 - log((x + sqrt(x^2-4))/2), which is exactly -phi - 1/2
+    for the field phi = log_potential_semicircle(x) - x^2/4 that
+    evaluate_rate reports, and vanishes at the edge x = 2.
     """
     x = float(x)
     if x < 2.0:

@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__, _lapack
 from .analytic import evaluate_rate
 from .experiments import (
+    ABSTOL,
     STREAM_CONTRACT,
     ExperimentConfig,
     run_esd_check,
@@ -92,9 +93,9 @@ def _parse_n_list(text: str) -> list:
 
 def _resolve_workers(flag_value, config_value) -> int:
     if flag_value is not None:
-        return int(flag_value)
+        return flag_value
     if config_value is not None:
-        return int(config_value)
+        return config_value
     env = os.environ.get("HITEMP_WORKERS")
     if env:
         return int(env)
@@ -134,8 +135,9 @@ def _load_config_file(path) -> dict:
     return data
 
 
-# manifests written by 0.2.0 carry an "m_grid" that no campaign reads
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"m_grid"}
+# manifests written by 0.2.0 carry an "m_grid" that no campaign reads, and
+# those written by 0.3.0 a "solver_tol" that replays only at ABSTOL
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"m_grid", "solver_tol"}
 
 
 def _experiment_config(args) -> ExperimentConfig:
@@ -144,6 +146,9 @@ def _experiment_config(args) -> ExperimentConfig:
     unknown = sorted(set(config) - _CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+    if config.get("solver_tol", ABSTOL) != ABSTOL:
+        raise ValueError(f"config key 'solver_tol' is {config['solver_tol']!r}; "
+                         f"lambda_max is solved at ABSTOL={ABSTOL!r} only")
     schedule = _schedule_from_args(args, config)
 
     def pick(flag, key, default):
@@ -159,11 +164,10 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         schedule=schedule,
         n_values=tuple(n_values),
-        replicas=int(pick(args.replicas, "replicas", 1000)),
+        replicas=pick(args.replicas, "replicas", 1000),
         x_grid=tuple(pick(getattr(args, "x", None), "x_grid", ())),
         t_grid=tuple(pick(getattr(args, "t", None), "t_grid", ())),
-        master_seed=int(pick(args.seed, "master_seed", 20260101)),
-        solver_tol=float(pick(args.tol, "solver_tol", 1e-12)),
+        master_seed=pick(args.seed, "master_seed", 20260101),
         workers=_resolve_workers(args.workers, config.get("workers")),
         plus_one_alpha=bool(pick(args.plus_one_alpha or None, "plus_one_alpha", False)),
     )
@@ -182,10 +186,10 @@ def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
         "nproc": os.cpu_count(),
         "master_seed": cfg.master_seed,
         "stream_contract": STREAM_CONTRACT,
-        "solver": {"lambda_max": f"dstebz, RANGE='I', IL=IU=n, ABSTOL={cfg.solver_tol!r}",
+        "solver": {"lambda_max": f"dstebz, RANGE='I', IL=IU=n, ABSTOL={ABSTOL!r}",
                    "spectra": "dsterf", "library": os.path.basename(_lapack.library()[0])},
         "timestamp": datetime.datetime.now(tz=datetime.timezone.utc).isoformat(),
-        "config": cfg.to_dict(),
+        "config": dataclasses.asdict(cfg),
         "outputs": [o for o in outputs if o not in (None, "-")],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -215,8 +219,6 @@ def _add_experiment_flags(sp, grid=None, summary=True):
     sp.add_argument("--n", type=_parse_n_list, help="comma list of ensemble sizes")
     sp.add_argument("--replicas", type=int)
     sp.add_argument("--seed", type=int, help="master seed")
-    sp.add_argument("--tol", type=float, help="eigensolver tolerance: LAPACK dstebz's ABSTOL for "
-                    "lambda_max; full spectra come from dsterf, which takes none")
     sp.add_argument("--workers", type=int, help="worker processes (env HITEMP_WORKERS, then core count)")
     sp.add_argument("--plus-one-alpha", action="store_true", help="use alpha = 1 + n*beta/2")
     sp.add_argument("--config", help="JSON config file or run manifest")

@@ -2,10 +2,11 @@
 by LAPACK, Sturm counts and Gershgorin brackets.
 
 lambda_max is LAPACK's dstebz (bisection, RANGE='I', IL=IU=n) with ABSTOL =
-tol, which every caller gives, and a full spectrum is dsterf (Pal-Walker-Kahan
-QL/QR), which reads no tolerance; both come from the OpenBLAS that the numpy
-wheel ships (`_lapack`).  Each matrix of a batch is solved on its own, so a
-row's result does not depend on what else sits in the batch.
+tol, a required argument (campaigns pass experiments.ABSTOL), and a full
+spectrum is dsterf (Pal-Walker-Kahan QL/QR), which reads no tolerance; both
+come from the OpenBLAS that the numpy wheel ships (`_lapack`).  Each matrix
+of a batch is solved on its own, so a row's result does not depend on what
+else sits in the batch.
 
 One shifted LDL^T recurrence (`_sturm_counts`) counts the eigenvalues at or
 below a shift, for a batch of matrices with one or several shifts each; it

@@ -37,6 +37,16 @@ STREAM_CONTRACT = (
     "replica r = Philox(key = cell key + r * 2^64); per matrix: standard_normal(n), "
     "standard_gamma(j*beta/2 + 1) for j = n-1..1, random(n-1)")
 
+# dstebz's ABSTOL for every lambda_max; dsterf, which solves spectra, takes none
+ABSTOL = 1e-12
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a bool or a value with a fractional part is a ValueError."""
+    if isinstance(value, bool) or not (isinstance(value, int) or float(value).is_integer()):
+        raise ValueError(f"{name} must be integers, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,24 +58,19 @@ class ExperimentConfig:
     x_grid: tuple = ()
     t_grid: tuple = ()
     master_seed: int = 20260101
-    # dstebz's ABSTOL for lambda_max; dsterf, which solves spectra, takes none
-    solver_tol: float = 1e-12
     workers: int = 1
     plus_one_alpha: bool = False
 
     def __post_init__(self):
-        bad = [n for n in self.n_values if not float(n).is_integer()]
-        if bad:
-            raise ValueError(f"n_values must be integers, got {bad[0]!r}")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        object.__setattr__(self, "n_values", tuple(_integer("n_values", n) for n in self.n_values))
+        for name in ("replicas", "master_seed", "workers"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
         object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not (math.isfinite(self.solver_tol) and self.solver_tol > 0):
-            raise ValueError(f"solver_tol must be finite and positive, got {self.solver_tol!r}")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
 
@@ -79,19 +84,6 @@ class ExperimentConfig:
         # numpy.random, about 5.6 MB of RSS
         seq = np.random.SeedSequence((self.master_seed & _U64, n))
         return int(seq.generate_state(1, np.uint64)[0])
-
-    def to_dict(self) -> dict:
-        return {
-            "schedule": self.schedule.to_dict(),
-            "n_values": list(self.n_values),
-            "replicas": self.replicas,
-            "x_grid": list(self.x_grid),
-            "t_grid": list(self.t_grid),
-            "master_seed": self.master_seed,
-            "solver_tol": self.solver_tol,
-            "workers": self.workers,
-            "plus_one_alpha": self.plus_one_alpha,
-        }
 
 
 @dataclass(frozen=True)
@@ -140,7 +132,7 @@ def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
 
 def _task_lambda_max(task):
     diags, offs = _sample_block(*task)
-    return eig.lambda_max_batch(diags, offs, task[0].solver_tol)
+    return eig.lambda_max_batch(diags, offs, ABSTOL)
 
 
 def _task_moments(task):
@@ -253,22 +245,6 @@ class TailRow:
     j_hat: float          # -log(p_hat)/(n*beta); +inf marker when p_hat = 0
     j_theory: float
     rel_err: float        # (j_hat - j_theory)/j_theory; nan marker when undefined
-    wilson_low: float | None = None
-    wilson_high: float | None = None
-
-
-def _wilson(p_hat: float, r: int, z: float = 1.959963984540054):
-    denom = 1.0 + z * z / r
-    center = (p_hat + z * z / (2 * r)) / denom
-    half = z * math.sqrt(p_hat * (1 - p_hat) / r + z * z / (4 * r * r)) / denom
-    return center - half, center + half
-
-
-def default_x_grid(n: int, beta: float, candidates=(2.1, 2.2, 2.3, 2.4, 2.5, 2.75, 3.0)) -> tuple:
-    """Default sweep grid, capped so target tails stay observable:
-    keep x with J(x)*n*beta <= 9."""
-    nb = n * beta
-    return tuple(x for x in candidates if rate_J(x) * nb <= 9.0)
 
 
 def run_tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
@@ -291,10 +267,7 @@ def run_tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
             else:
                 j_hat = math.inf   # undersampled-tail marker
                 rel = math.nan
-            wl, wh = (None, None)
-            if p_hat < 1e-3:
-                wl, wh = _wilson(p_hat, cfg.replicas)
-            rows.append(TailRow(n, beta, x, p_hat, stderr, j_hat, j_theory, rel, wl, wh))
+            rows.append(TailRow(n, beta, x, p_hat, stderr, j_hat, j_theory, rel))
     return rows
 
 

@@ -126,9 +126,6 @@ class RegimeSchedule:
     def constant(c: float, name: str | None = None) -> "RegimeSchedule":
         return RegimeSchedule(name or f"const{c:g}", "constant", c)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "c": self.c, "exponent": self.exponent}
-
     @staticmethod
     def from_dict(d: dict) -> "RegimeSchedule":
         missing = [key for key in ("name", "kind", "c") if key not in d]

@@ -6,19 +6,21 @@ import pytest
 
 from hitemp import analytic
 from hitemp.analytic import (
-    SEMICIRCLE,
     energy_I,
     evaluate_rate,
     log_potential_semicircle,
     log_potential_semicircle_quad,
-    phi,
     rate_J,
     rate_J_quad,
     semicircle_cdf,
-    semicircle_pdf,
 )
 from hitemp.measures import semicircle_quantile_measure
 from hitemp.quadrature import QuadratureSpec, adaptive_quad
+
+
+def semicircle_pdf(x):
+    """The semicircle density sqrt(4 - x^2)/(2*pi) on [-2, 2], zero outside."""
+    return math.sqrt(4.0 - x * x) / (2.0 * math.pi) if abs(x) <= 2.0 else 0.0
 
 
 def test_pdf_values():
@@ -68,18 +70,8 @@ def test_log_potential_grid_agreement():
         assert abs(log_potential_semicircle(x) - log_potential_semicircle_quad(x)) <= 1e-8
 
 
-def test_phi_two_atoms():
-    # (log 4 + log 2)/2 - 9/4 = 1.5*log(2) - 2.25 = -1.2102792291600820...
-    val = phi(3.0, np.array([-1.0, 1.0]))
-    assert val == pytest.approx(-1.2102792291600820, rel=1e-14)
-
-
 def test_phi_semicircle_at_edge():
-    assert phi(2.0, SEMICIRCLE) == pytest.approx(-0.5, abs=1e-15)
-
-
-def test_phi_atom_coincidence_marker():
-    assert phi(1.0, np.array([-1.0, 1.0])) == -math.inf
+    assert evaluate_rate(2.0).phi == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_rate_j_edge_and_divergence():
@@ -103,7 +95,7 @@ def test_rate_j_strictly_increasing_and_nonnegative():
 
 def test_phi_semicircle_strictly_decreasing_past_edge():
     grid = np.linspace(2.0, 10.0, 60)
-    vals = [phi(x, SEMICIRCLE) for x in grid]
+    vals = [evaluate_rate(x).phi for x in grid]
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 

@@ -87,7 +87,7 @@ def test_csv_is_locale_independent(tmp_path):
         assert float(token) is not None  # parses with '.' decimals
 
 
-def test_manifest_round_trip(tmp_path):
+def test_manifest_round_trip(tmp_path, capsys):
     out1 = tmp_path / "s1.csv"
     manifest = tmp_path / "run.json"
     assert run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "60,120",
@@ -119,6 +119,21 @@ def test_manifest_round_trip(tmp_path):
     assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
                    "--out", str(out3)) == 0
     assert out1.read_bytes() == out3.read_bytes()
+    # manifests written by 0.3.0 carry the "solver_tol" that ABSTOL replaced;
+    # one replays only at that value, not silently at another tolerance
+    del meta["config"]["m_grid"]
+    meta["config"]["solver_tol"] = 1e-12
+    old_manifest.write_text(json.dumps(meta))
+    out4, out5 = tmp_path / "s4.csv", tmp_path / "s5.csv"
+    assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
+                   "--out", str(out4)) == 0
+    assert out1.read_bytes() == out4.read_bytes()
+    meta["config"]["solver_tol"] = 1e-3
+    old_manifest.write_text(json.dumps(meta))
+    assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
+                   "--out", str(out5)) == 2
+    assert "'solver_tol' is 0.001" in capsys.readouterr().err
+    assert not out5.exists()
 
 
 def test_flag_overrides_config(tmp_path):
@@ -245,6 +260,23 @@ def test_non_integral_config_sizes_are_usage_errors(tmp_path, capsys):
     assert read_csv(out)[1][0][0] == "30"
 
 
+@pytest.mark.parametrize("key, value, code", [
+    ("replicas", 20.7, 2), ("master_seed", 3.9, 2), ("workers", 1.5, 2),
+    ("replicas", True, 2), ("replicas", 20.0, 0)], ids=repr)
+def test_non_integral_config_counts_are_usage_errors(tmp_path, capsys, key, value, code):
+    # int(...) ran "replicas": 20.7 as 20 replicas and exited 0
+    config, out, manifest = tmp_path / "cfg.json", tmp_path / "tail.csv", tmp_path / "run.json"
+    config.write_text(json.dumps({"replicas": 20, "master_seed": 3, "workers": 1, key: value}))
+    assert run_cli("tail", "--config", str(config), "--schedule", "const", "--c", "0.2",
+                   "--n", "30", "--t", "2.5", "--out", str(out),
+                   "--manifest", str(manifest)) == code
+    if code == 2:
+        assert f"{key} must be integers, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+    else:  # recorded as the integer 20, which json.loads would not tell from 20.0
+        assert f'"{key}": 20,' in manifest.read_text()
+
+
 def _exit_texts(capsys, parse):
     with pytest.raises(SystemExit) as exc:
         parse()
@@ -287,24 +319,20 @@ def test_campaign_runners_are_looked_up_on_cli_at_call_time(tmp_path, monkeypatc
     assert ran == ["run_tail_sweep", "run_esd_check", "run_tailbound_check"]
 
 
-def test_eig_takes_no_tol(tmp_path, capsys):
-    # dsterf reads no tolerance, so eig has no --tol to set
-    dump = tmp_path / "m.txt"
-    assert run_cli("sample", "--n", "5", "--beta", "0.3", "--seed", "5", "--out", str(dump)) == 0
+@pytest.mark.parametrize("argv", [
+    ["eig", "--matrix", "m.txt"],
+    ["tail", "--schedule", "const", "--n", "30", "--t", "2.5"],
+    ["sweep", "--schedule", "const", "--n", "30", "--x", "2.3"],
+    ["esd", "--schedule", "const", "--n", "30"],
+], ids=lambda argv: argv[0])
+def test_tol_is_an_unrecognized_argument(tmp_path, capsys, argv):
+    # dsterf reads no tolerance and lambda_max is solved at the fixed ABSTOL
+    out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli("eig", "--matrix", str(dump), "--tol", "1e-12")
+        run_cli(*argv, "--tol", "1e-12", "--out", str(out))
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert "unrecognized arguments: --tol 1e-12" in captured.err and captured.out == ""
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_sweep_rejects_a_non_finite_tol(tmp_path, capsys, tol):
-    out = tmp_path / "sweep.csv"
-    assert run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "60",
-                   "--replicas", "20", "--x", "2.3", "--tol", tol, "--workers", "1",
-                   "--out", str(out)) == 2
-    assert "hitemp: error:" in capsys.readouterr().err
     assert not out.exists()
 
 

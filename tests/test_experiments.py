@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,6 @@ from hitemp.analytic import energy_I, rate_J
 from hitemp.experiments import (
     ExperimentConfig,
     _sample_block,
-    default_x_grid,
     lambda_max_sample,
     run_esd_check,
     run_moment_check,
@@ -34,18 +34,15 @@ def test_config_validation():
         cfg_with(replicas=0)
     with pytest.raises(ValueError):
         cfg_with(workers=0)
-    for bad_tol in (0.0, -1e-12, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            cfg_with(solver_tol=bad_tol)
     with pytest.raises(ValueError):
         cfg_with(n_values=())
 
 
 def test_config_round_trip(tmp_path):
-    # manifests record to_dict(); the CLI's config reader reads it back
+    # manifests record dataclasses.asdict(cfg); the CLI's config reader reads it back
     cfg = cfg_with(x_grid=(2.2, 2.4), t_grid=(3.0,), plus_one_alpha=True)
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     assert cli._experiment_config(cli._build_parser().parse_args(
         ["tail", "--config", str(path)])) == cfg
 
@@ -175,7 +172,6 @@ def test_tail_sweep_undersampled_marker():
     assert row.p_hat == 0.0
     assert row.j_hat == math.inf
     assert math.isnan(row.rel_err)
-    assert row.wilson_low is not None and row.wilson_high > 0.0
 
 
 def test_tail_sweep_validation():
@@ -183,14 +179,6 @@ def test_tail_sweep_validation():
         run_tail_sweep(cfg_with(x_grid=()))
     with pytest.raises(ValueError):
         run_tail_sweep(cfg_with(x_grid=(1.9,)))
-
-
-def test_default_x_grid_caps_rare_tails():
-    grid = default_x_grid(200, 0.05)  # n*beta = 10
-    assert grid and all(rate_J(x) * 10 <= 9.0 for x in grid)
-    assert 3.0 in grid                           # J(3)*10 ~ 7.1 still observable
-    assert 3.0 not in default_x_grid(400, 0.05)  # J(3)*20 ~ 14.3 is not
-    assert len(default_x_grid(4000, 0.1)) < len(grid)
 
 
 def test_edge_rate_is_near_zero():

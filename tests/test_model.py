@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -88,4 +89,4 @@ def test_schedule_validation():
 
 def test_schedule_dict_round_trip():
     sched = RegimeSchedule.power_decay(0.7, 0.3)
-    assert RegimeSchedule.from_dict(sched.to_dict()) == sched
+    assert RegimeSchedule.from_dict(dataclasses.asdict(sched)) == sched
