@@ -336,6 +336,19 @@ def test_tol_is_an_unrecognized_argument(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_sweep_rejects_a_non_finite_tol(tmp_path, capsys, tol):
+    # a non-finite ABSTOL once reached dstebz through sweep --tol; no value reaches it now
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "60",
+                "--replicas", "20", "--x", "2.3", "--tol", tol, "--workers", "1",
+                "--out", str(out))
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --tol {tol}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_that_is_not_an_object_is_a_usage_error(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text("[1, 2]")
