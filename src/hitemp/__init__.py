@@ -4,6 +4,9 @@ desk-scale large-deviations experiments."""
 
 __version__ = "0.3.0"
 
+import os  # hitemp runs no threaded BLAS; OpenBLAS's idle worker thread spins 50-60 ms of CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads, unless already set
+
 from .analytic import (  # noqa: F401
     RateEvaluation,
     energy_I,

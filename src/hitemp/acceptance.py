@@ -237,7 +237,7 @@ def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CriterionResult:
         master_seed=90909, workers=workers)
     report = run_esd_check(cfg)
     w1 = [r.w1_mean for r in report.rows]
-    energy = report.rows[-1].energy_norm_mean
+    energy = report.rows[-1].energy_norm
     ok = all(b < a for a, b in zip(w1, w1[1:])) and w1[-1] <= 0.05 and abs(energy) <= 0.02
     return _result(9, "ESD convergence", ok,
                    f"W1 means {[f'{v:.4f}' for v in w1]} (decreasing, final <= 0.05); "

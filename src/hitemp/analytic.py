@@ -10,7 +10,7 @@ are returned as explicit +-inf markers and never fed back into arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +109,7 @@ def rate_J_quad(x: float, spec: QuadratureSpec | None = None) -> float:
     return x * x / 4.0 - 0.5 - log_potential_semicircle_quad(x, spec)
 
 
-@dataclass(frozen=True)
-class RateEvaluation:
+class RateEvaluation(NamedTuple):
     """One rate-function evaluation: location, J, phi and the method used."""
 
     x: float
@@ -155,8 +154,7 @@ def _offdiag_log_mean(atoms: np.ndarray) -> float:
         hi = min(m - 1, lo + max(1, _PAIR_SCRATCH // width))
         gaps = buf[:(hi - lo) * width].reshape(hi - lo, width)
         np.subtract(atoms[lo + 1:], atoms[lo:hi, None], out=gaps)
-        for r in range(1, hi - lo):
-            gaps[r, :r] = 1.0
+        gaps[:, :hi - lo][np.tri(hi - lo, k=-1, dtype=bool)] = 1.0
         total += float(np.sum(np.log(gaps, out=gaps)))
         lo = hi
     return 2.0 * total / (m * (m - 1.0))

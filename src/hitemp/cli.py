@@ -28,7 +28,10 @@ from .analytic import evaluate_rate
 from .experiments import (
     ABSTOL,
     STREAM_CONTRACT,
+    EsdRow,
     ExperimentConfig,
+    TailboundRow,
+    TailRow,
     run_esd_check,
     run_tail_sweep,
     run_tailbound_check,
@@ -40,8 +43,6 @@ from . import eig as eigmod
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return "nan"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -135,17 +136,23 @@ def _load_config_file(path) -> dict:
     return data
 
 
-# manifests written by 0.2.0 carry an "m_grid" that no campaign reads, and
-# those written by 0.3.0 a "solver_tol" that replays only at ABSTOL
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"m_grid", "solver_tol"}
+_NUMBER = (int, float)
+# each key's JSON type; lists hold numbers, not bools. Legacy: 0.2.0's unread "m_grid", 0.3.0's "solver_tol"
+_CONFIG_TYPES = {"schedule": dict, "n_values": list, "replicas": _NUMBER, "x_grid": list,
+                 "t_grid": list, "master_seed": _NUMBER, "workers": _NUMBER,
+                 "plus_one_alpha": bool, "m_grid": list, "solver_tol": _NUMBER}
 
 
 def _experiment_config(args) -> ExperimentConfig:
     """CLI flags override config-file values override defaults."""
     config = _load_config_file(args.config)
-    unknown = sorted(set(config) - _CONFIG_KEYS)
+    unknown = sorted(set(config) - set(_CONFIG_TYPES))
     if unknown:
         raise ValueError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+    for key, value in config.items():
+        items = value if isinstance(value, list) else ()
+        if not isinstance(value, _CONFIG_TYPES[key]) or not all(type(v) in _NUMBER for v in items):
+            raise ValueError(f"config key {key!r} has the wrong JSON type: {value!r}")
     if config.get("solver_tol", ABSTOL) != ABSTOL:
         raise ValueError(f"config key 'solver_tol' is {config['solver_tol']!r}; "
                          f"lambda_max is solved at ABSTOL={ABSTOL!r} only")
@@ -202,7 +209,7 @@ def _write_summary(path, checks) -> None:
         return
     payload = {
         "passed": all(c.passed for c in checks),
-        "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
+        "checks": [c._asdict() for c in checks],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -309,8 +316,8 @@ def _cmd_partition(args) -> int:
 def _cmd_tail(args) -> int:
     cfg = _experiment_config(args)
     report = run_tailbound_check(cfg)
-    rows = [[r.n, r.beta, r.t, r.q_hat, r.stderr, r.log_bound, r.passed] for r in report.rows]
-    _write_csv(args.out, ["n", "beta", "t", "q_hat", "stderr", "log_bound", "pass"], rows)
+    header = ["pass" if f == "passed" else f for f in TailboundRow._fields]  # "pass" is a keyword
+    _write_csv(args.out, header, report.rows)
     _write_summary(args.summary, report.checks)
     _write_manifest(args.manifest, cfg, [args.out])
     return 0 if all(c.passed for c in report.checks) else 1
@@ -318,9 +325,7 @@ def _cmd_tail(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _experiment_config(args)
-    rows = [[r.n, r.beta, r.x, r.p_hat, r.stderr, r.j_hat, r.j_theory, r.rel_err]
-            for r in run_tail_sweep(cfg)]
-    _write_csv(args.out, ["n", "beta", "x", "p_hat", "stderr", "j_hat", "j_theory", "rel_err"], rows)
+    _write_csv(args.out, TailRow._fields, run_tail_sweep(cfg))
     _write_manifest(args.manifest, cfg, [args.out])
     return 0
 
@@ -328,9 +333,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_esd(args) -> int:
     cfg = _experiment_config(args)
     report = run_esd_check(cfg)
-    rows = [[r.n, r.beta, r.w1_mean, r.ks_mean, r.energy_norm_mean, r.energy_paper_mean]
-            for r in report.rows]
-    _write_csv(args.out, ["n", "beta", "w1_mean", "ks_mean", "energy_norm", "energy_paper"], rows)
+    _write_csv(args.out, EsdRow._fields, report.rows)
     _write_summary(args.summary, report.checks)
     _write_manifest(args.manifest, cfg, [args.out])
     return 0 if all(c.passed for c in report.checks) else 1

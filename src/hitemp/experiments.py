@@ -6,7 +6,8 @@ per-replica largest eigenvalues behind the concentration at 2.
 Replica r always consumes stream_index = r of the cell's seed, chunks are a
 fixed function of (replicas, n), and the solver treats each matrix of a batch
 on its own, so outputs are byte-identical for any worker count.  All
-cells of a campaign are gathered through one process pool.
+cells of a campaign are gathered through one process pool.  The fields of
+TailRow, TailboundRow and EsdRow are the columns of the CLI's CSVs.
 
 A chunk is sampled by one Philox generator re-keyed to (cell key, r) for
 replica r, with sample_matrix's entry arithmetic done once per sub-block.
@@ -15,8 +16,8 @@ replica r, with sample_matrix's entry arithmetic done once per sub-block.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,8 +87,7 @@ class ExperimentConfig:
         return int(seq.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
@@ -172,6 +172,8 @@ def _gather(fn, cfg: ExperimentConfig, n_values) -> list:
     cells = [[(cfg, n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
     if cfg.workers <= 1 or max(map(len, cells)) <= 1:
         return [np.concatenate([fn(t) for t in tasks]) for tasks in cells]
+    # imported here: multiprocessing is some 30 modules and 1.9 MB that one worker never uses
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
         return [np.concatenate(list(pool.map(fn, tasks))) for tasks in cells]
 
@@ -185,8 +187,7 @@ def lambda_max_sample(cfg: ExperimentConfig, n: int) -> np.ndarray:
 # experiment runners
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentRow:
+class MomentRow(NamedTuple):
     n: int
     beta: float
     alpha: float
@@ -196,8 +197,7 @@ class MomentRow:
     z_score: float
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     rows: list
     first_moment_rows: list
     checks: list
@@ -233,8 +233,7 @@ def run_moment_check(cfg: ExperimentConfig) -> MomentReport:
     return MomentReport(rows, first_rows, checks)
 
 
-@dataclass(frozen=True)
-class TailRow:
+class TailRow(NamedTuple):
     """One (n, beta, x) cell of the tail sweep."""
 
     n: int
@@ -271,8 +270,7 @@ def run_tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class TailboundRow:
+class TailboundRow(NamedTuple):
     n: int
     beta: float
     t: float
@@ -282,8 +280,7 @@ class TailboundRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class TailboundReport:
+class TailboundReport(NamedTuple):
     rows: list
     checks: list
 
@@ -312,18 +309,16 @@ def run_tailbound_check(cfg: ExperimentConfig) -> TailboundReport:
     return TailboundReport(rows, checks)
 
 
-@dataclass(frozen=True)
-class EsdRow:
+class EsdRow(NamedTuple):
     n: int
     beta: float
     w1_mean: float
     ks_mean: float
-    energy_norm_mean: float
-    energy_paper_mean: float
+    energy_norm: float
+    energy_paper: float
 
 
-@dataclass(frozen=True)
-class EsdReport:
+class EsdReport(NamedTuple):
     rows: list
     checks: list
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,7 @@ def make_params(n: int, beta: float, plus_one_alpha: bool = False) -> EnsemblePa
     return EnsembleParams(n=n, beta=float(beta), alpha=alpha)
 
 
-@dataclass(frozen=True)
-class RegimeReport:
+class RegimeReport(NamedTuple):
     """Diagnostics for the window log(n)/n << beta << 1/log(n) at concrete n."""
 
     n: int
@@ -131,4 +131,6 @@ class RegimeSchedule:
         missing = [key for key in ("name", "kind", "c") if key not in d]
         if missing:
             raise ValueError(f"schedule lacks key(s) {', '.join(map(repr, missing))}")
+        if not all(isinstance(d.get(key, 0.0), (int, float)) for key in ("c", "exponent")):
+            raise ValueError(f"schedule 'c' and 'exponent' must be numbers, got {d!r}")
         return RegimeSchedule(d["name"], d["kind"], float(d["c"]), float(d.get("exponent", 0.0)))

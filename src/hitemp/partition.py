@@ -9,7 +9,7 @@ and is never exponentiated.  Log-gamma values come from libm's `math.lgamma`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _HALF_LOG_2PI = 0.5 * _LOG_2PI
@@ -82,8 +82,7 @@ def asymptotic_log_ratio_perturbed(n: int, beta: float) -> float:
     return 0.25 + 0.625 * n * beta - _LOG_2PI
 
 
-@dataclass(frozen=True)
-class RatioComparison:
+class RatioComparison(NamedTuple):
     """Exact vs asymptotic log partition ratio at one (n, beta)."""
 
     lemma: str  # "shift" | "perturbed"

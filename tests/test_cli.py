@@ -77,6 +77,34 @@ def test_sweep_csv_schema_and_determinism(tmp_path):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("command, flags, header", [
+    ("sweep", ["--x", "2.3"], "n,beta,x,p_hat,stderr,j_hat,j_theory,rel_err"),
+    ("tail", ["--t", "2.5"], "n,beta,t,q_hat,stderr,log_bound,pass"),
+    ("esd", [], "n,beta,w1_mean,ks_mean,energy_norm,energy_paper"),
+])
+def test_campaign_headers_are_the_record_fields(tmp_path, command, flags, header):
+    # the headers perfbench/checks.py pins; the rows are the records themselves
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--schedule", "const", "--c", "0.2", "--n", "30", "--replicas", "4",
+                   "--seed", "3", "--workers", "1", "--out", str(out), *flags) == 0
+    assert out.read_text().split("\n")[0] == header
+
+
+def test_importing_the_cli_loads_no_process_pool_and_starts_no_thread():
+    # a pool is imported by the campaign that starts one: the import costs some
+    # 30 modules and 1.9 MB of RSS.  OpenBLAS's worker thread spun 50-60 ms of CPU
+    code = ("import os, sys, hitemp.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)),\n"
+            "      len(os.listdir('/proc/self/task')))\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 1\n"
+
+
 def test_csv_is_locale_independent(tmp_path):
     out = tmp_path / "rate.csv"
     run_cli("rate", "--x", "2:0.25:3", "--out", str(out))
@@ -384,6 +412,23 @@ def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "tail.csv").read_text().count("\n") == 2
+
+
+@pytest.mark.parametrize("key, value", [
+    ("replicas", None), ("n_values", 30), ("n_values", [None]), ("x_grid", 2.3), ("t_grid", [True]),
+    ("schedule", 5), ("schedule", None), ("schedule", {"name": "c", "kind": "constant", "c": None}),
+], ids=repr)
+def test_config_values_of_the_wrong_json_type_are_usage_errors(tmp_path, capsys, key, value):
+    # each one ended in a TypeError traceback and exit 1
+    message = ("schedule 'c' and 'exponent' must be numbers" if isinstance(value, dict)
+               else f"config key {key!r} has the wrong JSON type: {value!r}")
+    config, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
+    config.write_text(json.dumps({"schedule": {"name": "c", "kind": "constant", "c": 0.2},
+                                  "n_values": [30], key: value}))
+    assert run_cli("sweep", "--config", str(config), "--replicas", "5", "--x", "2.3",
+                   "--workers", "1", "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):

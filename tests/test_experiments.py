@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -110,12 +111,13 @@ def test_moment_rows_match_separate_passes(workers):
 def test_one_process_pool_per_campaign(monkeypatch):
     built = []
 
-    class CountingPool(experiments.ProcessPoolExecutor):
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountingPool)
+    # _gather imports the pool from concurrent.futures when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2, x_grid=(2.3,), t_grid=(2.5,))
     run_tail_sweep(cfg)
     run_tailbound_check(cfg)
@@ -288,4 +290,4 @@ def test_esd_report_small_scale(workers):
     assert report.rows[1].w1_mean < report.rows[0].w1_mean
     assert all(c.passed for c in report.checks)
     for r in report.rows:
-        assert r.energy_paper_mean > r.energy_norm_mean
+        assert r.energy_paper > r.energy_norm
