@@ -297,9 +297,8 @@ _CRITERIA = (
 )
 
 
-def run_all(workers: int | None = None, quick: bool = False, log=None) -> list:
+def run_all(workers: int = 1, quick: bool = False, log=None) -> list:
     """Run all criteria in order, optionally logging one line per criterion."""
-    workers = workers or os.cpu_count() or 1
     results = []
     for fn in _CRITERIA:
         res = fn(workers=workers, quick=quick)

@@ -19,6 +19,7 @@ import datetime
 import json
 import math
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -99,7 +100,10 @@ def _resolve_workers(flag_value, config_value) -> int:
         return config_value
     env = os.environ.get("HITEMP_WORKERS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"HITEMP_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -183,8 +187,10 @@ def _experiment_config(args) -> ExperimentConfig:
 def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
     if path is None:
         return
-    import platform  # 3 ms to import, and only a manifest needs it
+    import hashlib  # 3 ms each to import, and only a manifest needs them
+    import platform
 
+    files = [o for o in outputs if o not in (None, "-")]
     manifest = {
         "tool_version": __version__,
         "python": platform.python_version(),
@@ -197,7 +203,8 @@ def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
                    "spectra": "dsterf", "library": os.path.basename(_lapack.library()[0])},
         "timestamp": datetime.datetime.now(tz=datetime.timezone.utc).isoformat(),
         "config": dataclasses.asdict(cfg),
-        "outputs": [o for o in outputs if o not in (None, "-")],
+        "outputs": files,
+        "sha256": {o: hashlib.sha256(pathlib.Path(o).read_bytes()).hexdigest() for o in files},
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -342,7 +349,10 @@ def _cmd_esd(args) -> int:
 def _cmd_check(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(workers=_resolve_workers(args.workers, None), quick=args.quick, log=print)
+    workers = _resolve_workers(args.workers, None)
+    if workers < 1:  # before criterion 1 runs, not at criterion 5's config
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    results = run_all(workers, quick=args.quick, log=print)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -5,9 +5,9 @@ per-replica largest eigenvalues behind the concentration at 2.
 
 Replica r always consumes stream_index = r of the cell's seed, chunks are a
 fixed function of (replicas, n), and the solver treats each matrix of a batch
-on its own, so outputs are byte-identical for any worker count.  All
-cells of a campaign are gathered through one process pool.  The fields of
-TailRow, TailboundRow and EsdRow are the columns of the CLI's CSVs.
+on its own, so outputs are byte-identical for any worker count.  Several
+workers are forked children, one set per campaign, filling one shared
+buffer.  The fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
 
 A chunk is sampled by one Philox generator re-keyed to (cell key, r) for
 replica r, with sample_matrix's entry arithmetic done once per sub-block.
@@ -16,6 +16,8 @@ replica r, with sample_matrix's entry arithmetic done once per sub-block.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -166,16 +168,54 @@ def _task_measure_stats(task):
     return out
 
 
+# the shape of one replica's row in each task's output
+_ROW_SHAPE = {_task_lambda_max: lambda cfg: (), _task_moments: lambda cfg: (2,),
+              _task_abs_tail: lambda cfg: (len(cfg.t_grid),), _task_measure_stats: lambda cfg: (4,)}
+
+
 def _gather(fn, cfg: ExperimentConfig, n_values) -> list:
     """fn over the replica chunks of each n in n_values: one array per n, rows
-    in replica order.  All chunks of the call share one process pool."""
+    in replica order.  Several workers are forked children filling one shared buffer."""
     cells = [[(cfg, n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
     if cfg.workers <= 1 or max(map(len, cells)) <= 1:
         return [np.concatenate([fn(t) for t in tasks]) for tasks in cells]
-    # imported here: multiprocessing is some 30 modules and 1.9 MB that one worker never uses
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        return [np.concatenate(list(pool.map(fn, tasks))) for tasks in cells]
+    import mmap  # the one-worker path needs no shared buffer
+    list(map(cfg.params_for, n_values))  # a bad size or schedule raises here, not in a child
+    tasks = [(i, t) for i, cell in enumerate(cells) for t in cell]
+    shape = (len(cells), cfg.replicas, *_ROW_SHAPE[fn](cfg))
+    rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
+    r, w = os.pipe()
+    pids = []
+    try:
+        for _ in range(min(cfg.workers, len(tasks))):
+            pids.append(os.fork() or _work(fn, tasks, rows, r, w))  # a child never returns
+        os.close(r)
+        for k in range(len(tasks)):  # after forking: a full pipe blocks until a child reads
+            os.write(w, k.to_bytes(4, "little"))
+    except BrokenPipeError:
+        pass  # every child has died; their statuses say so
+    finally:
+        os.close(w)
+        failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
+    if failed:
+        raise RuntimeError(f"{failed} of {len(pids)} campaign workers failed; see their tracebacks")
+    return list(rows)
+
+
+def _work(fn, tasks, rows, r, w):
+    """A forked child: runs the tasks whose indices it reads from r; leaves only by os._exit."""
+    try:
+        os.close(w)
+        while index := os.read(r, 4):
+            i, task = tasks[int.from_bytes(index, "little")]
+            rows[i, task[2]:task[2] + task[3]] = fn(task)
+        os._exit(0)
+    except BaseException:
+        import traceback
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(1)
 
 
 def lambda_max_sample(cfg: ExperimentConfig, n: int) -> np.ndarray:

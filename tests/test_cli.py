@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -91,8 +92,8 @@ def test_campaign_headers_are_the_record_fields(tmp_path, command, flags, header
 
 
 def test_importing_the_cli_loads_no_process_pool_and_starts_no_thread():
-    # a pool is imported by the campaign that starts one: the import costs some
-    # 30 modules and 1.9 MB of RSS.  OpenBLAS's worker thread spun 50-60 ms of CPU
+    # campaigns fork their workers: a pool's import costs some 30 modules and
+    # 1.9 MB of RSS.  OpenBLAS's worker thread spun 50-60 ms of CPU
     code = ("import os, sys, hitemp.cli\n"
             "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)),\n"
             "      len(os.listdir('/proc/self/task')))\n")
@@ -133,7 +134,8 @@ def test_manifest_round_trip(tmp_path, capsys):
                               "spectra": "dsterf",
                               "library": os.path.basename(_lapack.library()[0])}
     assert meta["config"]["replicas"] == 50
-    assert str(out1) in meta["outputs"]
+    assert meta["outputs"] == [str(out1)]
+    assert meta["sha256"] == {str(out1): hashlib.sha256(out1.read_bytes()).hexdigest()}
     # replaying the manifest reproduces the run byte for byte
     out2 = tmp_path / "s2.csv"
     assert run_cli("sweep", "--config", str(manifest), "--workers", "1",
@@ -397,7 +399,8 @@ def test_eig_on_header_only_dump_is_a_usage_error(tmp_path, capsys):
 def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
     # the cell keys are derived in the workers: the first SeedSequence would
     # import numpy.random (about 5.6 MB) into the campaign process; importing
-    # scipy.linalg alone would add about 26 MB
+    # scipy.linalg alone would add about 26 MB, and a process pool some 30
+    # modules and 1.8 MB, which every forked worker would inherit
     code = (
         "import sys\n"
         "from hitemp.cli import main\n"
@@ -405,7 +408,8 @@ def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
         "           '--t', '2.5', '--seed', '3', '--workers', '2', '--out', sys.argv[1]])\n"
         "assert rc == 0, rc\n"
         "assert 'numpy.random' not in sys.modules\n"
-        "assert 'scipy' not in sys.modules\n")
+        "assert 'scipy' not in sys.modules\n"
+        "assert not {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "tail.csv")],
@@ -458,24 +462,55 @@ def test_unknown_config_keys_are_usage_errors(tmp_path, capsys):
 
 def test_esd_output_is_independent_of_worker_count(tmp_path):
     # spectra are solved in the forked workers at 2 workers, in-process at 1
-    outs = [tmp_path / f"esd{w}.csv" for w in (1, 2)]
-    for w, out in zip((1, 2), outs):
+    outs = [tmp_path / f"esd{w}.csv" for w in (1, 2, 3)]
+    for w, out in zip((1, 2, 3), outs):
         assert run_cli("esd", "--schedule", "const", "--c", "0.1", "--n", "40,120",
                        "--replicas", "16", "--seed", "5", "--workers", str(w),
                        "--out", str(out)) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
 
 def test_tail_output_is_independent_of_worker_count(tmp_path):
     # 1200 replicas make 8 chunks of 150 rows; at n = 600 each chunk spans two
     # sub-blocks of the block sampler's uniform scratch (109 rows).  t = 1.5
     # sits in the bulk, so q_hat and stderr depend on every sampled matrix
-    outs = [tmp_path / f"tail{w}.csv" for w in (1, 2)]
-    for w, out in zip((1, 2), outs):
+    outs = [tmp_path / f"tail{w}.csv" for w in (1, 2, 3)]
+    for w, out in zip((1, 2, 3), outs):
         assert run_cli("tail", "--schedule", "const", "--c", "0.2", "--n", "60,600",
                        "--t", "1.5,2.5", "--replicas", "1200", "--seed", "11",
                        "--workers", str(w), "--out", str(out)) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("bad", [["--n", "1", "--c", "0.2"], ["--n", "40", "--c", "nan"],
+                                 ["--n", "40", "--c", "inf"]], ids=" ".join)
+@pytest.mark.parametrize("command", ["sweep", "tail", "esd"])
+def test_bad_sizes_and_schedules_exit_two_at_any_worker_count(tmp_path, capsys, command, bad,
+                                                              workers):
+    # the parent checks every cell's parameters before it forks, so the
+    # ValueError is a usage error there too, not a failed worker
+    grid = {"sweep": ["--x", "2.3"], "tail": ["--t", "2.5"], "esd": []}[command]
+    out = tmp_path / "out.csv"
+    assert run_cli(command, "--schedule", "const", *bad, "--replicas", "16", "--seed", "3",
+                   *grid, "--workers", workers, "--out", str(out)) == 2
+    assert "hitemp: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), (["--workers", "-1"], None),
+                                       ([], "0"), ([], "two")], ids=repr)
+def test_check_rejects_a_bad_worker_count_before_any_criterion(capsys, monkeypatch, flag, env):
+    # --workers 0 ran on every core through run_all's `workers or cpu_count`,
+    # and --workers -1 failed only at criterion 5, after criteria 1-4 had run
+    monkeypatch.delenv("HITEMP_WORKERS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("HITEMP_WORKERS", env)
+    assert run_cli("check", "--quick", *flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("HITEMP_WORKERS must be an integer, got 'two'" if env == "two"
+            else "workers must be >= 1") in captured.err
 
 
 def test_inf_and_nan_markers_render(tmp_path):

@@ -1,7 +1,7 @@
-import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -108,20 +108,49 @@ def test_moment_rows_match_separate_passes(workers):
     assert got == _moment_rows_from_separate_blocks(cfg)
 
 
-def test_one_process_pool_per_campaign(monkeypatch):
-    built = []
+def test_one_set_of_forked_workers_per_campaign(monkeypatch):
+    forks = []
+    real_fork = os.fork
 
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            built.append(1)
-            super().__init__(*args, **kwargs)
+    def counting_fork():
+        forks.append(1)
+        return real_fork()
 
-    # _gather imports the pool from concurrent.futures when it needs one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # two cells of 8 chunks each share one set of min(workers, chunks) children
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2, x_grid=(2.3,), t_grid=(2.5,))
-    run_tail_sweep(cfg)
-    run_tailbound_check(cfg)
-    assert len(built) == 2
+    assert len(experiments._chunks(16, 30)) == len(experiments._chunks(16, 60)) == 8
+    rows = run_tail_sweep(cfg)
+    assert len(forks) == 2
+    report = run_tailbound_check(cfg)
+    assert len(forks) == 4
+    assert rows == run_tail_sweep(dataclasses.replace(cfg, workers=1))
+    assert report == run_tailbound_check(dataclasses.replace(cfg, workers=1))
+    assert len(forks) == 4
+    # five workers for three chunks fork three children
+    few = cfg_with(n_values=(30,), replicas=3, workers=5)
+    assert len(experiments._chunks(3, 30)) == 3
+    lam = lambda_max_sample(few, 30)
+    assert len(forks) == 7
+    assert np.array_equal(lam, lambda_max_sample(dataclasses.replace(few, workers=1), 30))
+
+
+def test_a_failing_worker_fails_the_campaign(tmp_path, monkeypatch, capfd):
+    # the children inherit the patched solver; each prints its traceback and
+    # exits 1, and the parent reaps them all before it raises
+    def broken(diags, offs, abstol):
+        raise ArithmeticError("solver failed in a worker")
+
+    monkeypatch.setattr(eig, "lambda_max_batch", broken)
+    out = tmp_path / "sweep.csv"
+    with pytest.raises(RuntimeError, match="campaign workers failed"):
+        cli.main(["sweep", "--schedule", "const", "--c", "0.1", "--n", "30,60", "--replicas", "16",
+                  "--x", "2.3", "--seed", "3", "--workers", "2", "--out", str(out)])
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "ArithmeticError: solver failed in a worker" in err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not out.exists()
 
 
 def test_moment_check_canonical_alpha():
