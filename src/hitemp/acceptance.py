@@ -14,30 +14,16 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import cli, eig
 from .analytic import log_potential_semicircle, log_potential_semicircle_quad, rate_J, rate_J_quad
-from .experiments import ExperimentConfig, lambda_max_sample, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
+from .experiments import CheckResult, ExperimentConfig, lambda_max_sample, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule
 from .partition import compare_ratios, log_Z, technical_gap
 from .quadrature import QuadratureSpec, adaptive_quad
 from .sampler import TridiagonalMatrix
-
-
-@dataclass(frozen=True)
-class CriterionResult:
-    index: int
-    name: str
-    passed: bool
-    detail: str
-    seconds: float
-
-
-def _result(index, name, passed, detail, t0) -> CriterionResult:
-    return CriterionResult(index, name, bool(passed), detail, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +89,7 @@ def log_z3_hermite_oracle(alpha: float, beta: float) -> float:
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1_rate_exactness(**_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_1_rate_exactness(**_) -> CheckResult:
     ok = rate_J(2.0) == 0.0
     worst = 0.0
     for x in (2.01, 2.5, 3.0, 5.0):
@@ -112,22 +97,20 @@ def criterion_1_rate_exactness(**_) -> CriterionResult:
                     abs(log_potential_semicircle(x) - log_potential_semicircle_quad(x)),
                     abs(rate_J(x) - rate_J_quad(x)))
     ok = ok and worst <= 1e-8
-    return _result(1, "rate-function exactness", ok,
-                   f"J(2)={rate_J(2.0)!r}, worst closed-vs-quadrature gap {worst:.2e} (tol 1e-8)", t0)
+    return CheckResult("rate-function exactness", ok,
+                       f"J(2)={rate_J(2.0)!r}, worst closed-vs-quadrature gap {worst:.2e} (tol 1e-8)")
 
 
-def criterion_2_selberg(**_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_2_selberg(**_) -> CheckResult:
     gauss_gap = max(abs(log_Z(1, a, b) - 0.5 * math.log(2.0 * math.pi / a))
                     for a, b in ((1.0, 1.0), (5.0, 0.1)))
     quad_gap = abs(log_Z(2, 2.0, 1.0) - log_z2_quadrature_oracle(2.0, 1.0))
     ok = gauss_gap <= 1e-12 and quad_gap <= 1e-6
-    return _result(2, "Selberg partition correctness", ok,
-                   f"n=1 gap {gauss_gap:.2e} (tol 1e-12), n=2 quadrature gap {quad_gap:.2e} (tol 1e-6)", t0)
+    return CheckResult("Selberg partition correctness", ok,
+                       f"n=1 gap {gauss_gap:.2e} (tol 1e-12), n=2 quadrature gap {quad_gap:.2e} (tol 1e-6)")
 
 
-def criterion_3_ratio_asymptotics(**_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_3_ratio_asymptotics(**_) -> CheckResult:
     gaps = {"shift": [], "perturbed": []}
     for n in (10**3, 10**4, 10**5, 10**6):
         beta = 1.0 / math.log(n) ** 2
@@ -137,13 +120,12 @@ def criterion_3_ratio_asymptotics(**_) -> CriterionResult:
     ok = all(
         all(b < a for a, b in zip(seq, seq[1:])) and seq[-1] <= 0.05
         for seq in gaps.values())
-    return _result(3, "partition-ratio asymptotics", ok,
-                   f"shift gaps {[f'{g:.4f}' for g in gaps['shift']]}, "
-                   f"perturbed gaps {[f'{g:.4f}' for g in gaps['perturbed']]} (final <= 0.05)", t0)
+    return CheckResult("partition-ratio asymptotics", ok,
+                       f"shift gaps {[f'{g:.4f}' for g in gaps['shift']]}, "
+                       f"perturbed gaps {[f'{g:.4f}' for g in gaps['perturbed']]} (final <= 0.05)")
 
 
-def criterion_4_eigensolver_oracle(**_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_4_eigensolver_oracle(**_) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=40404))
     worst_eig = 0.0
     count_mismatches = 0
@@ -164,13 +146,12 @@ def criterion_4_eigensolver_oracle(**_) -> CriterionResult:
             if eig.sturm_count(tri, s) != int(np.sum(oracle < s)):
                 count_mismatches += 1
     ok = worst_eig <= 1e-9 and count_mismatches == 0
-    return _result(4, "eigensolver oracle equivalence", ok,
-                   f"worst eigenvalue gap {worst_eig:.2e} (tol 1e-9), "
-                   f"{count_mismatches} Sturm count mismatches over 1000 shifts", t0)
+    return CheckResult("eigensolver oracle equivalence", ok,
+                       f"worst eigenvalue gap {worst_eig:.2e} (tol 1e-9), "
+                       f"{count_mismatches} Sturm count mismatches over 1000 shifts")
 
 
-def criterion_5_trace_identity(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_5_trace_identity(workers=1, quick=False, **_) -> CheckResult:
     replicas = 200 if quick else 2000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(500,), replicas=replicas,
@@ -178,13 +159,12 @@ def criterion_5_trace_identity(workers=1, quick=False, **_) -> CriterionResult:
     report = run_moment_check(cfg)
     row = report.rows[0]
     ok = abs(row.z_score) <= 4.0
-    return _result(5, "trace identity Monte Carlo", ok,
-                   f"mean={row.mean:.6f} exact={row.exact:.6f} z={row.z_score:.2f} "
-                   f"(|z| <= 4, {replicas} replicas)", t0)
+    return CheckResult("trace identity Monte Carlo", ok,
+                       f"mean={row.mean:.6f} exact={row.exact:.6f} z={row.z_score:.2f} "
+                       f"(|z| <= 4, {replicas} replicas)")
 
 
-def criterion_6_convergence(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_6_convergence(workers=1, quick=False, **_) -> CheckResult:
     replicas = 100 if quick else 500
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.1), n_values=(500, 2000), replicas=replicas,
@@ -194,30 +174,27 @@ def criterion_6_convergence(workers=1, quick=False, **_) -> CriterionResult:
         lam = lambda_max_sample(cfg, n)
         fracs[n] = float(np.mean(np.abs(lam - 2.0) > 0.15))
     ok = fracs[2000] <= 0.05 and fracs[2000] <= fracs[500]
-    return _result(6, "convergence in probability", ok,
-                   f"frac(|lmax-2|>0.15): n=500 {fracs[500]:.3f}, n=2000 {fracs[2000]:.3f} "
-                   f"(<= 0.05 and monotone)", t0)
+    return CheckResult("convergence in probability", ok,
+                       f"frac(|lmax-2|>0.15): n=500 {fracs[500]:.3f}, n=2000 {fracs[2000]:.3f} "
+                       f"(<= 0.05 and monotone)")
 
 
-def criterion_7_ldp_rate(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_7_ldp_rate(workers=1, quick=False, **_) -> CheckResult:
     replicas = 5000 if quick else 100_000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(200, 400), replicas=replicas,
         x_grid=(2.5,), master_seed=70707, workers=workers)
-    rows = run_tail_sweep(cfg)
-    by_n = {r.n: r for r in rows}
+    by_n = {r.n: r for r in run_tail_sweep(cfg).rows}
     j = rate_J(2.5)
     err200 = abs(by_n[200].j_hat - j)
     err400 = abs(by_n[400].j_hat - j)
     ok = err200 / j <= 0.5 and err400 < err200
-    return _result(7, "empirical LDP rate", ok,
-                   f"J(2.5)={j:.4f}; j_hat n=200 {by_n[200].j_hat:.4f} (rel {err200 / j:.2f} <= 0.5), "
-                   f"n=400 {by_n[400].j_hat:.4f}; |err| shrinks: {err400 < err200}", t0)
+    return CheckResult("empirical LDP rate", ok,
+                       f"J(2.5)={j:.4f}; j_hat n=200 {by_n[200].j_hat:.4f} (rel {err200 / j:.2f} <= 0.5), "
+                       f"n=400 {by_n[400].j_hat:.4f}; |err| shrinks: {err400 < err200}")
 
 
-def criterion_8_tail_bound(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_8_tail_bound(workers=1, quick=False, **_) -> CheckResult:
     replicas = 5000 if quick else 100_000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.2), n_values=(50,), replicas=replicas,
@@ -226,11 +203,10 @@ def criterion_8_tail_bound(workers=1, quick=False, **_) -> CriterionResult:
     ok = all(r.passed for r in report.rows)
     detail = "; ".join(
         f"t={r.t:g}: q_hat={r.q_hat:.3g} <= bound {math.exp(r.log_bound):.3g}" for r in report.rows)
-    return _result(8, "tail-bound validity", ok, detail, t0)
+    return CheckResult("tail-bound validity", ok, detail)
 
 
-def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CheckResult:
     replicas = 6 if quick else 50
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.1), n_values=(250, 1000, 4000), replicas=replicas,
@@ -239,13 +215,12 @@ def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CriterionResult:
     w1 = [r.w1_mean for r in report.rows]
     energy = report.rows[-1].energy_norm
     ok = all(b < a for a, b in zip(w1, w1[1:])) and w1[-1] <= 0.05 and abs(energy) <= 0.02
-    return _result(9, "ESD convergence", ok,
-                   f"W1 means {[f'{v:.4f}' for v in w1]} (decreasing, final <= 0.05); "
-                   f"energy(normalized) at n=4000 {energy:.4f} (|.| <= 0.02)", t0)
+    return CheckResult("ESD convergence", ok,
+                       f"W1 means {[f'{v:.4f}' for v in w1]} (decreasing, final <= 0.05); "
+                       f"energy(normalized) at n=4000 {energy:.4f} (|.| <= 0.02)")
 
 
-def criterion_10_property_suite(workers=1, quick=False, **_) -> CriterionResult:
-    t0 = time.perf_counter()
+def criterion_10_property_suite(workers=1, quick=False, **_) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=101010))
 
     triples = 10_000 if quick else 100_000
@@ -266,21 +241,21 @@ def criterion_10_property_suite(workers=1, quick=False, **_) -> CriterionResult:
 
     argv = ["sweep", "--schedule", "const", "--c", "0.1", "--n", "100",
             "--replicas", "60", "--x", "2.2,2.4", "--seed", "1234"]
-    outputs = []
+    outputs, codes = [], []
     for w in ("1", "2"):
         with tempfile.NamedTemporaryFile(suffix=".csv", delete=False) as tmp:
             path = tmp.name
-        code = cli.main(argv + ["--workers", w, "--out", path])
+        codes.append(cli.main(argv + ["--workers", w, "--out", path]))
         with open(path, "rb") as fh:
             outputs.append(fh.read())
         os.unlink(path)
-        assert code == 0
     identical = outputs[0] == outputs[1]
 
-    ok = neg == 0 and mono_bad == 0 and identical
-    return _result(10, "inequality/monotonicity/determinism suite", ok,
-                   f"{neg} negative gaps over {triples} triples; {mono_bad} Sturm monotonicity "
-                   f"violations; worker-count CSV identical: {identical}", t0)
+    ok = neg == 0 and mono_bad == 0 and identical and codes == [0, 0]
+    return CheckResult("inequality/monotonicity/determinism suite", ok,
+                       f"{neg} negative gaps over {triples} triples; {mono_bad} Sturm monotonicity "
+                       f"violations; worker-count CSV identical: {identical}"
+                       + ("" if codes == [0, 0] else f"; sweep exit codes {codes} (not 0)"))
 
 
 _CRITERIA = (
@@ -300,10 +275,11 @@ _CRITERIA = (
 def run_all(workers: int = 1, quick: bool = False, log=None) -> list:
     """Run all criteria in order, optionally logging one line per criterion."""
     results = []
-    for fn in _CRITERIA:
+    for index, fn in enumerate(_CRITERIA, 1):
+        t0 = time.perf_counter()
         res = fn(workers=workers, quick=quick)
         results.append(res)
         if log is not None:
             status = "PASS" if res.passed else "FAIL"
-            log(f"[{status}] criterion {res.index}: {res.name} — {res.detail} ({res.seconds:.1f}s)")
+            log(f"[{status}] criterion {index}: {res.name} — {res.detail} ({time.perf_counter() - t0:.1f}s)")
     return results

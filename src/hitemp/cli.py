@@ -24,15 +24,12 @@ import sys
 
 import numpy as np
 
-from . import __version__, _lapack
+from . import __version__
 from .analytic import evaluate_rate
 from .experiments import (
     ABSTOL,
     STREAM_CONTRACT,
-    EsdRow,
     ExperimentConfig,
-    TailboundRow,
-    TailRow,
     run_esd_check,
     run_tail_sweep,
     run_tailbound_check,
@@ -82,7 +79,9 @@ def _parse_grid(text: str) -> list:
     span = (stop - start) / step  # inf when stop - start overflows
     if span > _MAX_GRID_POINTS - 1:
         raise argparse.ArgumentTypeError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
-    return [start + i * step for i in range(int(round(span)) + 1)]
+    # truncate, so that no point passes stop, but let a span short of an
+    # integer by rounding (2.1:0.1:2.5 gives 3.9999999999999996) reach it
+    return [start + i * step for i in range(int(span + 1e-9) + 1)]
 
 
 def _parse_n_list(text: str) -> list:
@@ -131,8 +130,12 @@ def _schedule_from_args(args, config: dict) -> RegimeSchedule:
 def _load_config_file(path) -> dict:
     if path is None:
         return {}
+
+    def reject(constant):  # json.load reads NaN and Infinity by default
+        raise ValueError(f"config file {path} holds {constant}, which is not a JSON number")
+
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, parse_constant=reject)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     if isinstance(data.get("config"), dict):
@@ -200,7 +203,7 @@ def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
         "master_seed": cfg.master_seed,
         "stream_contract": STREAM_CONTRACT,
         "solver": {"lambda_max": f"dstebz, RANGE='I', IL=IU=n, ABSTOL={ABSTOL!r}",
-                   "spectra": "dsterf", "library": os.path.basename(_lapack.library()[0])},
+                   "spectra": "dsterf", "library": os.path.basename(eigmod.library()[0])},
         "timestamp": datetime.datetime.now(tz=datetime.timezone.utc).isoformat(),
         "config": dataclasses.asdict(cfg),
         "outputs": files,
@@ -320,28 +323,14 @@ def _cmd_partition(args) -> int:
     return 0
 
 
-def _cmd_tail(args) -> int:
+def _cmd_campaign(args, run) -> int:
+    """Runs the campaign run(cfg) -> Report: its records are the CSV rows, and
+    a failed check exits 1."""
     cfg = _experiment_config(args)
-    report = run_tailbound_check(cfg)
-    header = ["pass" if f == "passed" else f for f in TailboundRow._fields]  # "pass" is a keyword
+    report = run(cfg)
+    header = ["pass" if f == "passed" else f for f in report.rows[0]._fields]  # "pass" is a keyword
     _write_csv(args.out, header, report.rows)
-    _write_summary(args.summary, report.checks)
-    _write_manifest(args.manifest, cfg, [args.out])
-    return 0 if all(c.passed for c in report.checks) else 1
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _experiment_config(args)
-    _write_csv(args.out, TailRow._fields, run_tail_sweep(cfg))
-    _write_manifest(args.manifest, cfg, [args.out])
-    return 0
-
-
-def _cmd_esd(args) -> int:
-    cfg = _experiment_config(args)
-    report = run_esd_check(cfg)
-    _write_csv(args.out, EsdRow._fields, report.rows)
-    _write_summary(args.summary, report.checks)
+    _write_summary(getattr(args, "summary", None), report.checks)
     _write_manifest(args.manifest, cfg, [args.out])
     return 0 if all(c.passed for c in report.checks) else 1
 
@@ -356,7 +345,8 @@ def _cmd_check(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-# add_arguments(subparser) declares a subcommand's arguments; handler(args) runs it
+# add_arguments(subparser) declares a subcommand's arguments; handler(args) runs
+# it.  A campaign's handler looks its runner up here at call time, wrappers included
 Command = collections.namedtuple("Command", "name help add_arguments handler")
 COMMANDS = {cmd.name: cmd for cmd in (
     Command("sample", "emit one tridiagonal matrix dump", _add_sample_args, _cmd_sample),
@@ -364,10 +354,13 @@ COMMANDS = {cmd.name: cmd for cmd in (
     Command("rate", "rate-function table over an x grid", _add_rate_args, _cmd_rate),
     Command("partition", "partition-ratio comparison sweep", _add_partition_args, _cmd_partition),
     Command("tail", "largest-particle tail bound check",
-            lambda sp: _add_experiment_flags(sp, "--t"), _cmd_tail),
+            lambda sp: _add_experiment_flags(sp, "--t"),
+            lambda a: _cmd_campaign(a, run_tailbound_check)),
     Command("sweep", "LDP tail sweep: empirical rate vs J",
-            lambda sp: _add_experiment_flags(sp, "--x", summary=False), _cmd_sweep),
-    Command("esd", "empirical-spectral-measure convergence check", _add_experiment_flags, _cmd_esd),
+            lambda sp: _add_experiment_flags(sp, "--x", summary=False),
+            lambda a: _cmd_campaign(a, run_tail_sweep)),
+    Command("esd", "empirical-spectral-measure convergence check", _add_experiment_flags,
+            lambda a: _cmd_campaign(a, run_esd_check)),
     Command("check", "run the acceptance suite", _add_check_args, _cmd_check),
 )}
 

@@ -95,6 +95,13 @@ class CheckResult(NamedTuple):
     detail: str
 
 
+class Report(NamedTuple):
+    """A campaign's records, one per CSV row, and its pass/fail checks."""
+
+    rows: list
+    checks: list
+
+
 # ---------------------------------------------------------------------------
 # replica chunking and worker tasks
 # ---------------------------------------------------------------------------
@@ -286,8 +293,8 @@ class TailRow(NamedTuple):
     rel_err: float        # (j_hat - j_theory)/j_theory; nan marker when undefined
 
 
-def run_tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
-    """Estimate P(lambda_max >= x) and the finite-n rate surrogate j_hat."""
+def run_tail_sweep(cfg: ExperimentConfig) -> Report:
+    """Estimate P(lambda_max >= x) and the finite-n rate surrogate j_hat; no checks."""
     if not cfg.x_grid:
         raise ValueError("tail sweep needs a nonempty x_grid")
     if any(x <= 2.0 for x in cfg.x_grid):
@@ -307,7 +314,7 @@ def run_tail_sweep(cfg: ExperimentConfig) -> list[TailRow]:
                 j_hat = math.inf   # undersampled-tail marker
                 rel = math.nan
             rows.append(TailRow(n, beta, x, p_hat, stderr, j_hat, j_theory, rel))
-    return rows
+    return Report(rows, [])
 
 
 class TailboundRow(NamedTuple):
@@ -320,12 +327,7 @@ class TailboundRow(NamedTuple):
     passed: bool
 
 
-class TailboundReport(NamedTuple):
-    rows: list
-    checks: list
-
-
-def run_tailbound_check(cfg: ExperimentConfig) -> TailboundReport:
+def run_tailbound_check(cfg: ExperimentConfig) -> Report:
     """Empirical q(t) = E[#{i: |lambda_i| >= t}]/n against the analytic bound.
 
     By exchangeability q(t) equals P(|lambda_1| >= t), the quantity the bound
@@ -333,6 +335,8 @@ def run_tailbound_check(cfg: ExperimentConfig) -> TailboundReport:
     """
     if not cfg.t_grid:
         raise ValueError("tail-bound check needs a nonempty t_grid")
+    if not all(t > 0.0 for t in cfg.t_grid):
+        raise ValueError("t_grid values must be positive")
     rows, checks = [], []
     for n, fracs in zip(cfg.n_values, _gather(_task_abs_tail, cfg, cfg.n_values)):
         params = cfg.params_for(n)
@@ -346,7 +350,7 @@ def run_tailbound_check(cfg: ExperimentConfig) -> TailboundReport:
             checks.append(CheckResult(
                 f"tail_bound_respected[n={n},t={t:g}]", ok,
                 f"q_hat={q_hat:.3g} bound={math.exp(lb):.3g}"))
-    return TailboundReport(rows, checks)
+    return Report(rows, checks)
 
 
 class EsdRow(NamedTuple):
@@ -358,12 +362,7 @@ class EsdRow(NamedTuple):
     energy_paper: float
 
 
-class EsdReport(NamedTuple):
-    rows: list
-    checks: list
-
-
-def run_esd_check(cfg: ExperimentConfig) -> EsdReport:
+def run_esd_check(cfg: ExperimentConfig) -> Report:
     """Empirical-spectral-measure convergence diagnostics along the schedule."""
     rows = []
     for n, stats in zip(cfg.n_values, _gather(_task_measure_stats, cfg, cfg.n_values)):
@@ -377,4 +376,4 @@ def run_esd_check(cfg: ExperimentConfig) -> EsdReport:
         "w1_strictly_decreasing_in_n",
         all(b < a for a, b in zip(w1_seq, w1_seq[1:])),
         f"{[f'{v:.4f}' for v in w1_seq]}")]
-    return EsdReport(rows, checks)
+    return Report(rows, checks)

@@ -111,26 +111,26 @@ class RegimeSchedule:
 
     # common constructions
     @staticmethod
-    def inverse_log_power(c: float, p: float, name: str | None = None) -> "RegimeSchedule":
-        return RegimeSchedule(name or f"invlog{p:g}", "inverse_log_power", c, p)
+    def inverse_log_power(c: float, p: float) -> "RegimeSchedule":
+        return RegimeSchedule(f"invlog{p:g}", "inverse_log_power", c, p)
 
     @staticmethod
     def inverse_log_squared(c: float = 1.0) -> "RegimeSchedule":
         return RegimeSchedule("invlogsq", "inverse_log_power", c, 2.0)
 
     @staticmethod
-    def power_decay(c: float, gamma: float, name: str | None = None) -> "RegimeSchedule":
-        return RegimeSchedule(name or f"pow{gamma:g}", "power_decay", c, gamma)
+    def power_decay(c: float, gamma: float) -> "RegimeSchedule":
+        return RegimeSchedule(f"pow{gamma:g}", "power_decay", c, gamma)
 
     @staticmethod
-    def constant(c: float, name: str | None = None) -> "RegimeSchedule":
-        return RegimeSchedule(name or f"const{c:g}", "constant", c)
+    def constant(c: float) -> "RegimeSchedule":
+        return RegimeSchedule(f"const{c:g}", "constant", c)
 
     @staticmethod
     def from_dict(d: dict) -> "RegimeSchedule":
         missing = [key for key in ("name", "kind", "c") if key not in d]
         if missing:
             raise ValueError(f"schedule lacks key(s) {', '.join(map(repr, missing))}")
-        if not all(isinstance(d.get(key, 0.0), (int, float)) for key in ("c", "exponent")):
+        if not all(type(d.get(key, 0.0)) in (int, float) for key in ("c", "exponent")):  # not bool
             raise ValueError(f"schedule 'c' and 'exponent' must be numbers, got {d!r}")
         return RegimeSchedule(d["name"], d["kind"], float(d["c"]), float(d.get("exponent", 0.0)))

@@ -13,7 +13,7 @@ without underflow.  Entries are exponentiated only when the matrix is formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,22 +77,20 @@ class TridiagonalMatrix:
 
     diag: np.ndarray
     offdiag: np.ndarray
-    validate: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         diag = np.asarray(self.diag, dtype=float)
         offdiag = np.asarray(self.offdiag, dtype=float)
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "offdiag", offdiag)
-        if self.validate:
-            if diag.ndim != 1 or diag.size < 2:
-                raise ValueError("diag must be a 1-d array of length >= 2")
-            if offdiag.shape != (diag.size - 1,):
-                raise ValueError("offdiag must have length n-1")
-            if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
-                raise ValueError("matrix entries must be finite")
-            if np.any(offdiag < 0):
-                raise ValueError("offdiag entries must be nonnegative (scaled chi variates)")
+        if diag.ndim != 1 or diag.size < 2:
+            raise ValueError("diag must be a 1-d array of length >= 2")
+        if offdiag.shape != (diag.size - 1,):
+            raise ValueError("offdiag must have length n-1")
+        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
+            raise ValueError("matrix entries must be finite")
+        if np.any(offdiag < 0):
+            raise ValueError("offdiag entries must be nonnegative (scaled chi variates)")
 
     @property
     def n(self) -> int:
@@ -136,7 +134,7 @@ def sample_matrix(params: EnsembleParams, stream: SeededStream) -> TridiagonalMa
     off = rng.standard_gamma(shapes / 2.0 + 1.0)
     u = rng.random(n - 1)
     _scale_entries(diag, off, u, shapes, alpha)
-    return TridiagonalMatrix(diag, off, validate=False)
+    return TridiagonalMatrix(diag, off)
 
 
 def dump_matrix(tri: TridiagonalMatrix, path) -> None:

@@ -12,9 +12,8 @@ from hitemp import acceptance
 def _run(fn, workers):
     result = fn(workers=workers)
     status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] criterion {result.index}: {result.name} — "
-          f"{result.detail} ({result.seconds:.1f}s)")
-    assert result.passed, f"criterion {result.index} failed: {result.detail}"
+    print(f"[{status}] {result.name} — {result.detail}")
+    assert result.passed is True, f"{result.name} failed: {result.detail}"
 
 
 def test_criterion_01_rate_function_exactness(workers):
@@ -55,3 +54,11 @@ def test_criterion_09_esd_convergence(workers):
 
 def test_criterion_10_property_and_determinism_suite(workers):
     _run(acceptance.criterion_10_property_suite, workers)
+
+
+def test_criterion_10_fails_on_a_non_zero_exit_code(monkeypatch):
+    # a bare assert raised an AssertionError out of `hitemp check`, and python -O strips it
+    monkeypatch.setattr(acceptance.cli, "main", lambda argv: 1)
+    result = acceptance.criterion_10_property_suite(quick=True)
+    assert result.passed is False
+    assert result.detail.endswith("; sweep exit codes [1, 1] (not 0)")

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from hitemp import _lapack, cli, eig
+from hitemp import cli, eig
 from hitemp.cli import main
 from hitemp.sampler import load_matrix
 
@@ -30,6 +30,10 @@ def test_rate_grid(tmp_path):
     assert header == ["x", "J", "phi"]
     assert len(rows) == 11
     assert float(rows[0][1]) == 0.0  # J(2) = 0
+    # no point passes stop, and a span short of an integer by rounding reaches it
+    assert cli._parse_grid("0:1:3.6") == [0.0, 1.0, 2.0, 3.0]
+    assert len(cli._parse_grid("2.1:0.1:2.5")) == 5
+    assert len(cli._parse_grid("2.05:0.05:2.5")) == 10
     # J = -phi - 1/2 row by row
     for row in rows:
         assert float(row[1]) == pytest.approx(-float(row[2]) - 0.5, abs=1e-12)
@@ -132,7 +136,7 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert "SeedSequence((master_seed mod 2^64, n))" in meta["stream_contract"]
     assert meta["solver"] == {"lambda_max": "dstebz, RANGE='I', IL=IU=n, ABSTOL=1e-12",
                               "spectra": "dsterf",
-                              "library": os.path.basename(_lapack.library()[0])}
+                              "library": os.path.basename(eig.library()[0])}
     assert meta["config"]["replicas"] == 50
     assert meta["outputs"] == [str(out1)]
     assert meta["sha256"] == {str(out1): hashlib.sha256(out1.read_bytes()).hexdigest()}
@@ -421,10 +425,14 @@ def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
 @pytest.mark.parametrize("key, value", [
     ("replicas", None), ("n_values", 30), ("n_values", [None]), ("x_grid", 2.3), ("t_grid", [True]),
     ("schedule", 5), ("schedule", None), ("schedule", {"name": "c", "kind": "constant", "c": None}),
+    ("x_grid", [math.nan]), ("t_grid", [math.inf]), ("schedule", {"name": "c", "kind": "constant", "c": True}),
 ], ids=repr)
 def test_config_values_of_the_wrong_json_type_are_usage_errors(tmp_path, capsys, key, value):
-    # each one ended in a TypeError traceback and exit 1
+    # each one ended in a TypeError traceback and exit 1; the last three, which
+    # the flags reject, wrote a nan row, an inf row, and ran at beta = 1
     message = ("schedule 'c' and 'exponent' must be numbers" if isinstance(value, dict)
+               else f"holds {json.dumps(value[0])}, which is not a JSON number"
+               if value in ([math.nan], [math.inf])
                else f"config key {key!r} has the wrong JSON type: {value!r}")
     config, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
     config.write_text(json.dumps({"schedule": {"name": "c", "kind": "constant", "c": 0.2},

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hitemp import _lapack, eig
+from hitemp import eig
 from hitemp.acceptance import charpoly_eigenvalues
 from hitemp.sampler import SeededStream, TridiagonalMatrix, sample_matrix
 from hitemp.model import make_params
@@ -277,9 +277,9 @@ def test_multisection_matches_one_level_below_float_spacing(r):
 
 def test_missing_library_is_a_runtime_error(tmp_path, monkeypatch):
     # no silent fallback: an OSError would read as a usage error (exit 2)
-    real_dir = _lapack._LIBS_DIR
-    monkeypatch.setattr(_lapack, "_LIBS_DIR", str(tmp_path))
-    _lapack.library.cache_clear()
+    real_dir = eig._LIBS_DIR
+    monkeypatch.setattr(eig, "_LIBS_DIR", str(tmp_path))
+    eig.library.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=f"no libscipy_openblas64_.*in {re.escape(str(tmp_path))}"):
             eig.lambda_max_batch(np.zeros((1, 2)), np.ones((1, 1)), 1e-12)
@@ -290,7 +290,7 @@ def test_missing_library_is_a_runtime_error(tmp_path, monkeypatch):
         with pytest.raises(RuntimeError, match=f"{re.escape(str(fake))} lacks the symbol scipy_dstebz_64_"):
             eig.batch_spectra(np.zeros((1, 2)), np.ones((1, 1)))
     finally:
-        _lapack.library.cache_clear()
+        eig.library.cache_clear()
 
 
 def test_counts_abs_at_or_above():
@@ -302,10 +302,23 @@ def test_counts_abs_at_or_above():
     assert eig.counts_abs_at_or_above(d, o, 10.0)[0] == 0
 
 
+@pytest.mark.parametrize("offs", [np.array([[0.0, 0.0, 5.0]]), np.zeros((1, 1)), np.zeros((2, 2)), np.zeros(2)],
+                         ids=lambda offs: str(offs.shape))
+def test_batch_entry_points_reject_a_mis_shaped_batch(offs):
+    # counts_abs_at_or_above dropped a surplus off-diagonal: diag (1, 2, 3) with
+    # off-diagonal (0, 0, 5) counted 1 eigenvalue at or above 2.5
+    diags = np.array([[1.0, 2.0, 3.0]])
+    message = re.escape(f"need (r, n) diagonals and (r, n - 1) off-diagonals, got (1, 3) and {offs.shape}")
+    for solve in (lambda d, o: eig.lambda_max_batch(d, o, 1e-12), eig.batch_spectra,
+                  lambda d, o: eig.counts_abs_at_or_above(d, o, 2.5)):
+        with pytest.raises(ValueError, match=message):
+            solve(diags, offs)
+
+
 _BELOW_FLOAT_SPACING = textwrap.dedent("""
     import sys
     import numpy as np
-    from hitemp import _lapack, eig
+    from hitemp import eig
     from hitemp.acceptance import charpoly_eigenvalues
     from hitemp.model import make_params
     from hitemp.sampler import SeededStream, TridiagonalMatrix, dump_matrix, sample_matrix

@@ -120,11 +120,11 @@ def test_one_set_of_forked_workers_per_campaign(monkeypatch):
     # two cells of 8 chunks each share one set of min(workers, chunks) children
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2, x_grid=(2.3,), t_grid=(2.5,))
     assert len(experiments._chunks(16, 30)) == len(experiments._chunks(16, 60)) == 8
-    rows = run_tail_sweep(cfg)
+    rows = run_tail_sweep(cfg).rows
     assert len(forks) == 2
     report = run_tailbound_check(cfg)
     assert len(forks) == 4
-    assert rows == run_tail_sweep(dataclasses.replace(cfg, workers=1))
+    assert rows == run_tail_sweep(dataclasses.replace(cfg, workers=1)).rows
     assert report == run_tailbound_check(dataclasses.replace(cfg, workers=1))
     assert len(forks) == 4
     # five workers for three chunks fork three children
@@ -187,7 +187,7 @@ def test_first_moment_centered():
 
 def test_tail_sweep_rows_and_invariants():
     cfg = cfg_with(n_values=(80, 40), replicas=200, x_grid=(2.4, 2.2))
-    rows = run_tail_sweep(cfg)
+    rows = run_tail_sweep(cfg).rows
     # rows ordered by (n as configured, then x as configured)
     assert [(r.n, r.x) for r in rows] == [(80, 2.4), (80, 2.2), (40, 2.4), (40, 2.2)]
     for r in rows:
@@ -199,7 +199,7 @@ def test_tail_sweep_rows_and_invariants():
 
 def test_tail_sweep_undersampled_marker():
     cfg = cfg_with(replicas=40, x_grid=(3.8,))
-    row = run_tail_sweep(cfg)[0]
+    row = run_tail_sweep(cfg).rows[0]
     assert row.p_hat == 0.0
     assert row.j_hat == math.inf
     assert math.isnan(row.rel_err)
@@ -246,9 +246,15 @@ def test_tailbound_far_threshold_trivial():
     assert all(r.passed for r in report.rows)
 
 
-def test_tailbound_validation():
-    with pytest.raises(ValueError):
-        run_tailbound_check(cfg_with(t_grid=()))
+def test_tailbound_validation(monkeypatch):
+    # every bad grid fails before a task runs: tail --t 0 sampled and counted
+    # every replica, then failed in log_tail_bound
+    def no_task(*task):
+        raise AssertionError("a task ran")
+    monkeypatch.setattr(experiments, "_sample_block", no_task)
+    for t_grid in [(), (0.0,), (2.5, -1.0), (math.nan,)]:
+        with pytest.raises(ValueError):
+            run_tailbound_check(cfg_with(t_grid=t_grid))
 
 
 def test_tightness_scan_surrogate_slope():
@@ -279,8 +285,8 @@ def test_lambda_max_dominates_mean():
 def test_worker_count_invariance():
     cfg1 = cfg_with(replicas=64, x_grid=(2.3,), workers=1)
     cfg2 = cfg_with(replicas=64, x_grid=(2.3,), workers=2)
-    rows1 = run_tail_sweep(cfg1)
-    rows2 = run_tail_sweep(cfg2)
+    rows1 = run_tail_sweep(cfg1).rows
+    rows2 = run_tail_sweep(cfg2).rows
     assert rows1 == rows2
     assert np.array_equal(lambda_max_sample(cfg1, 100), lambda_max_sample(cfg2, 100))
 
