@@ -15,7 +15,7 @@ from .analytic import (  # noqa: F401
     rate_J,
     semicircle_cdf,
 )
-from .eig import full_spectrum, gershgorin, lambda_max, sturm_count  # noqa: F401
+from .eig import gershgorin  # noqa: F401
 from .experiments import ExperimentConfig  # noqa: F401
 from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle  # noqa: F401
 from .model import EnsembleParams, RegimeSchedule, make_params, regime_report  # noqa: F401

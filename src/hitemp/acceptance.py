@@ -22,7 +22,7 @@ from .analytic import log_potential_semicircle, log_potential_semicircle_quad, r
 from .experiments import CheckResult, ExperimentConfig, lambda_max_sample, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule
 from .partition import compare_ratios, log_Z, technical_gap
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import adaptive_quad
 from .sampler import TridiagonalMatrix
 
 
@@ -52,17 +52,15 @@ def charpoly_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
 def log_z2_quadrature_oracle(alpha: float, beta: float) -> float:
     """log of the two-particle partition function by nested adaptive
     quadrature with a split at the |l1 - l2| kink."""
-    spec_in = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    spec_out = QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
     lim = math.sqrt(2.0 * 700.0 / alpha)  # exp(-alpha/2 x^2) below 1e-304 outside
     lim = min(lim, 12.0 / math.sqrt(alpha) + 8.0)
 
     def inner(l1: float) -> float:
         f = lambda l2: math.exp(-0.5 * alpha * l2 * l2) * abs(l1 - l2) ** beta
-        return adaptive_quad(f, -lim, lim, spec_in, points=(l1,))
+        return adaptive_quad(f, -lim, lim, 1e-12, points=(l1,))
 
     outer = lambda l1: math.exp(-0.5 * alpha * l1 * l1) * inner(l1)
-    return math.log(adaptive_quad(outer, -lim, lim, spec_out))
+    return math.log(adaptive_quad(outer, -lim, lim, 1e-11))
 
 
 def log_z3_hermite_oracle(alpha: float, beta: float) -> float:
@@ -132,19 +130,18 @@ def criterion_4_eigensolver_oracle(**_) -> CheckResult:
     for _i in range(50):
         diag = rng.normal(size=8)
         offdiag = np.abs(rng.normal(size=7))
-        tri = TridiagonalMatrix(diag, offdiag)
-        ours = eig.full_spectrum(tri)
+        ours = eig.batch_spectra(diag[None], offdiag[None])[0]
         oracle = charpoly_eigenvalues(diag, offdiag)
         worst_eig = max(worst_eig, float(np.max(np.abs(ours - oracle))))
-        lo, hi = eig.gershgorin(tri)
+        lo, hi = eig.gershgorin(TridiagonalMatrix(diag, offdiag))
         shifts = []
         while len(shifts) < 20:
             s = rng.uniform(lo - 0.5, hi + 0.5)
             if np.min(np.abs(oracle - s)) > 1e-6:  # stay off root neighborhoods
                 shifts.append(s)
-        for s in shifts:
-            if eig.sturm_count(tri, s) != int(np.sum(oracle < s)):
-                count_mismatches += 1
+        shifts = np.array(shifts)[:, None]  # (20, 1): twenty shifts of one matrix
+        counts = eig.counts_at_or_below(diag[None], offdiag[None], shifts)[:, 0]
+        count_mismatches += int(np.sum(counts != np.sum(oracle < shifts, axis=1)))
     ok = worst_eig <= 1e-9 and count_mismatches == 0
     return CheckResult("eigensolver oracle equivalence", ok,
                        f"worst eigenvalue gap {worst_eig:.2e} (tol 1e-9), "
@@ -156,8 +153,7 @@ def criterion_5_trace_identity(workers=1, quick=False, **_) -> CheckResult:
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(500,), replicas=replicas,
         master_seed=50505, workers=workers)
-    report = run_moment_check(cfg)
-    row = report.rows[0]
+    row = next(r for r in run_moment_check(cfg).rows if r.moment == 2)
     ok = abs(row.z_score) <= 4.0
     return CheckResult("trace identity Monte Carlo", ok,
                        f"mean={row.mean:.6f} exact={row.exact:.6f} z={row.z_score:.2f} "
@@ -236,8 +232,8 @@ def criterion_10_property_suite(workers=1, quick=False, **_) -> CheckResult:
         tri = TridiagonalMatrix(rng.normal(size=n), np.abs(rng.normal(size=n - 1)))
         lo, hi = eig.gershgorin(tri)
         x, y = sorted(rng.uniform(lo - 1.0, hi + 1.0, size=2))
-        if eig.sturm_count(tri, x) > eig.sturm_count(tri, y):
-            mono_bad += 1
+        cx, cy = eig.counts_at_or_below(tri.diag[None], tri.offdiag[None], [[x], [y]])[:, 0]
+        mono_bad += int(cx > cy)
 
     argv = ["sweep", "--schedule", "const", "--c", "0.1", "--n", "100",
             "--replicas", "60", "--x", "2.2,2.4", "--seed", "1234"]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import adaptive_quad
 
 
 def semicircle_cdf(x):
@@ -58,14 +58,13 @@ def log_potential_semicircle(x: float) -> float:
     return ax * ax / 4.0 - 0.5 - (ax * root / 4.0 - math.log((ax + root) / 2.0))
 
 
-def log_potential_semicircle_quad(x: float, spec: QuadratureSpec | None = None) -> float:
+def log_potential_semicircle_quad(x: float) -> float:
     """Quadrature twin of log_potential_semicircle.
 
     After y = 2 sin(theta) the integrand is log|x - 2 sin(theta)| weighted by
     (2/pi) cos^2(theta); the remaining log singularity at theta = asin(x/2)
     is handled by an explicit split.
     """
-    spec = spec or QuadratureSpec(abs_tol=1e-11, rel_tol=1e-11)
     x = float(x)
 
     def integrand(theta):
@@ -77,7 +76,7 @@ def log_potential_semicircle_quad(x: float, spec: QuadratureSpec | None = None) 
     points = ()
     if abs(x) < 2.0:
         points = (math.asin(x / 2.0),)
-    return adaptive_quad(integrand, -math.pi / 2.0, math.pi / 2.0, spec, points=points)
+    return adaptive_quad(integrand, -math.pi / 2.0, math.pi / 2.0, 1e-11, points=points)
 
 
 def _atoms_of(mu) -> np.ndarray:
@@ -100,13 +99,13 @@ def rate_J(x: float) -> float:
     return x * root / 4.0 - math.log((x + root) / 2.0)
 
 
-def rate_J_quad(x: float, spec: QuadratureSpec | None = None) -> float:
+def rate_J_quad(x: float) -> float:
     """Quadrature twin of rate_J: -phi(x, sigma) - 1/2 with the integral done
     numerically."""
     x = float(x)
     if x < 2.0:
         return math.inf
-    return x * x / 4.0 - 0.5 - log_potential_semicircle_quad(x, spec)
+    return x * x / 4.0 - 0.5 - log_potential_semicircle_quad(x)
 
 
 class RateEvaluation(NamedTuple):
@@ -118,15 +117,14 @@ class RateEvaluation(NamedTuple):
     method: str  # "closed_form" | "quadrature"
 
 
-def evaluate_rate(x: float, method: str = "closed_form",
-                  spec: QuadratureSpec | None = None) -> RateEvaluation:
+def evaluate_rate(x: float, method: str = "closed_form") -> RateEvaluation:
     """Bundle (x, J(x), phi(x, sigma)) with provenance."""
     x = float(x)
     if method == "closed_form":
         phi_val = log_potential_semicircle(x) - x * x / 4.0
         j = rate_J(x)  # algebraically simplified branch, exact at x = 2
     elif method == "quadrature":
-        phi_val = log_potential_semicircle_quad(x, spec) - x * x / 4.0
+        phi_val = log_potential_semicircle_quad(x) - x * x / 4.0
         j = math.inf if x < 2.0 else -phi_val - 0.5
     else:
         raise ValueError(f"unknown method {method!r}")

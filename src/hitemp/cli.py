@@ -68,14 +68,21 @@ def _parse_grid(text: str) -> list:
     a comma-separated list, of finite values."""
     ranged = ":" in text
     parts = text.split(":") if ranged else [p for p in text.split(",") if p]
-    values = [float(p) for p in parts]
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid {text!r} holds a value that is not a number") from None
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     if not ranged:
         return values
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"grid {text!r} is not 'start:step:stop'")
     start, step, stop = values
-    if step <= 0 or stop < start:
-        raise ValueError(f"bad grid {text!r}")
+    if step <= 0:
+        raise argparse.ArgumentTypeError(f"grid {text!r} has a step <= 0")
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"grid {text!r} stops below its start")
     span = (stop - start) / step  # inf when stop - start overflows
     if span > _MAX_GRID_POINTS - 1:
         raise argparse.ArgumentTypeError(f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
@@ -304,7 +311,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    _write_csv(args.out, None, [[v] for v in eigmod.full_spectrum(load_matrix(args.matrix))])
+    tri = load_matrix(args.matrix)
+    _write_csv(args.out, None, [[v] for v in eigmod.batch_spectra(tri.diag[None], tri.offdiag[None])[0]])
     return 0
 
 

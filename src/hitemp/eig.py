@@ -1,5 +1,7 @@
-"""Symmetric tridiagonal eigensolver: the largest eigenvalue and full spectra
-by LAPACK, Sturm counts and Gershgorin brackets.
+"""Symmetric tridiagonal eigensolver, one batch entry point per question, each
+over (r, n) diagonals and (r, n - 1) off-diagonals: `lambda_max_batch`,
+`batch_spectra` and `counts_at_or_below` (eigenvalues at or below a shift),
+which `counts_abs_at_or_above` calls once.  `gershgorin` brackets a spectrum.
 
 lambda_max is LAPACK's dstebz (bisection, RANGE='I', IL=IU=n) with ABSTOL =
 tol, a required argument (campaigns pass experiments.ABSTOL), and a full
@@ -10,12 +12,9 @@ scipy.linalg for them would add about 26 MB of RSS.  The build is ILP64 with
 a `scipy_` prefix: integers are int64, and each CHARACTER argument takes a
 trailing size_t length.  A missing library or symbol raises RuntimeError;
 there is no other route.  Each matrix of a batch is solved on its own, so a
-row's result does not depend on what else sits in the batch.
-
-One shifted LDL^T recurrence (`_sturm_counts`) counts the eigenvalues at or
-below a shift, for a batch of matrices with one or several shifts each; it
-serves `sturm_count` and `counts_abs_at_or_above`, and the tests use it to
-check the LAPACK results independently.  All routines are pure.
+row's result does not depend on what else sits in the batch.  The counts are
+one shifted LDL^T recurrence in numpy, which the tests also use to check the
+LAPACK results independently.  All routines are pure.
 """
 
 from __future__ import annotations
@@ -72,42 +71,33 @@ def _batch(diags, offdiags):
     return d, e
 
 
-def _sturm_counts(diags: np.ndarray, b2s: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+def counts_at_or_below(diags, offdiags, shifts) -> np.ndarray:
     """Number of eigenvalues at or below each shift, for a (r, n) batch.
 
-    shifts has shape (r,) for one shift per matrix or (r, k) for k shifts per
-    matrix; the counts have the shape of shifts.  b2s holds the squared
-    off-diagonals, shape (r, n - 1).
+    shifts has shape (r,), one shift per matrix, or (k, r), k shifts per
+    matrix; the counts have the shape of shifts.
 
     Shifted LDL^T recurrence d_1 = a_1 - x, d_i = (a_i - x) - b_{i-1}^2/d_{i-1};
     the count is the number of negative pivots.  A pivot with |d| below
     eps_pivot = macheps * (1 + |a_i - x| + b_{i-1}^2) is replaced by
-    -eps_pivot and counted negative, so a shift landing exactly on an
-    eigenvalue yields the "<= x" count instead of a division blow-up.
+    -eps_pivot and counted negative, so a shift exactly on an eigenvalue
+    counts it: for [[0, 1], [1, 0]] the count is 1 at x = -1 and 2 at x = 1.
     """
-    cols, b2cols = diags.T, b2s.T
-    if shifts.ndim == 2:
-        cols, b2cols = cols[:, :, None], b2cols[:, :, None]
-    t = cols[0] - shifts
+    d, e = _batch(diags, offdiags)
+    shifts = np.asarray(shifts, dtype=np.float64)
+    if shifts.ndim not in (1, 2) or shifts.shape[-1] != d.shape[0]:
+        raise ValueError(f"need (r,) or (k, r) shifts for r = {d.shape[0]} matrices, got {shifts.shape}")
+    t = d[:, 0] - shifts
     eps = _EPS * (1.0 + np.abs(t))
-    d = np.where(np.abs(t) < eps, -eps, t)
-    count = (d < 0).astype(np.int64)
-    for a, b2 in zip(cols[1:], b2cols):
+    p = np.where(np.abs(t) < eps, -eps, t)
+    count = (p < 0).astype(np.int64)
+    for a, b2 in zip(d.T[1:], (e**2).T):
         am = a - shifts
-        t = am - b2 / d
+        t = am - b2 / p
         eps = _EPS * (1.0 + np.abs(am) + b2)
-        d = np.where(np.abs(t) < eps, -eps, t)
-        count += d < 0
+        p = np.where(np.abs(t) < eps, -eps, t)
+        count += p < 0
     return count
-
-
-def sturm_count(tri: TridiagonalMatrix, x: float) -> int:
-    """Number of eigenvalues of tri at or below x.
-
-    A shift exactly on an eigenvalue counts it: for [[0, 1], [1, 0]] the
-    count is 1 at x = -1 and 2 at x = 1.
-    """
-    return int(_sturm_counts(tri.diag[None], tri.offdiag[None] ** 2, np.array([float(x)]))[0])
 
 
 def gershgorin(tri: TridiagonalMatrix) -> tuple[float, float]:
@@ -120,16 +110,14 @@ def gershgorin(tri: TridiagonalMatrix) -> tuple[float, float]:
 
 
 def lambda_max_batch(diags, offdiags, tol: float) -> np.ndarray:
-    """Largest eigenvalue of each matrix in a (replicas, n) batch, by dstebz
-    with ABSTOL = tol."""
+    """Largest eigenvalue of each matrix in a (replicas, n) batch, by dstebz with ABSTOL = tol."""
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     _, dstebz, _ = library()
     d, e = _batch(diags, offdiags)
     r, n = d.shape
     out = np.empty(r)
-    # integers N, IL, IU, M, NSPLIT, INFO; reals VL = VU = 0, unused with
-    # RANGE='I', and ABSTOL
+    # integers N, IL, IU, M, NSPLIT, INFO; reals VL = VU (unused with RANGE='I'), ABSTOL
     ints, reals = np.array([n, n, n, 0, 0, 0], dtype=np.int64), np.array([0.0, tol])
     w, work = np.empty(n), np.empty(4 * n)
     iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
@@ -145,14 +133,8 @@ def lambda_max_batch(diags, offdiags, tol: float) -> np.ndarray:
     return out
 
 
-def lambda_max(tri: TridiagonalMatrix, tol: float) -> float:
-    """Largest eigenvalue; |result - true| <= tol."""
-    return float(lambda_max_batch(tri.diag[None], tri.offdiag[None], tol)[0])
-
-
 def batch_spectra(diags, offdiags) -> np.ndarray:
-    """Full spectra for a (replicas, n) batch by dsterf; returns (replicas, n)
-    sorted."""
+    """Ascending full spectra of a (replicas, n) batch by dsterf, shape (replicas, n)."""
     _, _, dsterf = library()
     d, e = _batch(diags, offdiags)
     out = d.copy()
@@ -169,16 +151,9 @@ def batch_spectra(diags, offdiags) -> np.ndarray:
     return out
 
 
-def full_spectrum(tri: TridiagonalMatrix) -> np.ndarray:
-    """All n eigenvalues by dsterf, sorted nondecreasing."""
-    return batch_spectra(tri.diag[None], tri.offdiag[None])[0]
-
-
 def counts_abs_at_or_above(diags, offdiags, t: float) -> np.ndarray:
-    """Per-matrix number of eigenvalues with |lambda| >= t, via two counts."""
-    diags, offdiags = _batch(diags, offdiags)
-    b2s = offdiags**2
-    tt = np.full(diags.shape[0], float(t))
-    above = diags.shape[1] - _sturm_counts(diags, b2s, tt)
-    below = _sturm_counts(diags, b2s, -tt)
-    return above + below
+    """Per-matrix number of eigenvalues with |lambda| >= t, from one count at -t and t."""
+    d, e = _batch(diags, offdiags)
+    tt = np.full(d.shape[0], float(t))
+    below, at_or_below = counts_at_or_below(d, e, np.stack((-tt, tt)))
+    return d.shape[1] - at_or_below + below

@@ -236,6 +236,7 @@ def lambda_max_sample(cfg: ExperimentConfig, n: int) -> np.ndarray:
 
 class MomentRow(NamedTuple):
     n: int
+    moment: int  # 2: (1/n) sum lambda_i^2; 1: (1/n) sum lambda_i, exact 0
     beta: float
     alpha: float
     mean: float
@@ -244,40 +245,27 @@ class MomentRow(NamedTuple):
     z_score: float
 
 
-class MomentReport(NamedTuple):
-    rows: list
-    first_moment_rows: list
-    checks: list
+def run_moment_check(cfg: ExperimentConfig) -> Report:
+    """Compare the Monte Carlo means of (1/n) sum lambda_i^2 and (1/n) sum
+    lambda_i with their exact values: per n, a moment-2 row, then a moment-1 row.
 
-
-def run_moment_check(cfg: ExperimentConfig) -> MomentReport:
-    """Compare the Monte Carlo mean of (1/n) sum lambda_i^2 with its exact value.
-
-    The per-replica statistic is evaluated through the trace identity
-    sum lambda^2 = sum diag^2 + 2 sum offdiag^2, which holds exactly for every
-    tridiagonal realization; the exact expectation is (1 + beta*(n-1)/2)/alpha.
+    The per-replica statistics are evaluated through the trace identities
+    sum lambda^2 = sum diag^2 + 2 sum offdiag^2 and sum lambda = sum diag,
+    which hold exactly for every tridiagonal realization; the exact
+    expectations are (1 + beta*(n-1)/2)/alpha and 0.
     """
-    rows, first_rows, checks = [], [], []
+    rows, checks = [], []
     for n, cell in zip(cfg.n_values, _gather(_task_moments, cfg, cfg.n_values)):
-        vals, firsts = cell.T
         params = cfg.params_for(n)
-        exact = (1.0 + params.beta * (n - 1) / 2.0) / params.alpha
-        mean = float(vals.mean())
-        stderr = float(vals.std(ddof=1) / math.sqrt(cfg.replicas))
-        z = (mean - exact) / stderr if stderr > 0 else 0.0
-        rows.append(MomentRow(n, params.beta, params.alpha, mean, stderr, exact, z))
-        checks.append(CheckResult(
-            f"second_moment_within_4_stderr[n={n}]", abs(z) <= 4.0,
-            f"mean={mean:.6g} exact={exact:.6g} z={z:.2f}"))
-
-        fmean = float(firsts.mean())
-        fse = float(firsts.std(ddof=1) / math.sqrt(cfg.replicas))
-        fz = fmean / fse if fse > 0 else 0.0
-        first_rows.append(MomentRow(n, params.beta, params.alpha, fmean, fse, 0.0, fz))
-        checks.append(CheckResult(
-            f"first_moment_within_4_stderr[n={n}]", abs(fz) <= 4.0,
-            f"mean={fmean:.3g} z={fz:.2f}"))
-    return MomentReport(rows, first_rows, checks)
+        second = (1.0 + params.beta * (n - 1) / 2.0) / params.alpha
+        for moment, vals, exact, name in ((2, cell[:, 0], second, "second"), (1, cell[:, 1], 0.0, "first")):
+            mean = float(vals.mean())
+            stderr = float(vals.std(ddof=1) / math.sqrt(cfg.replicas))
+            z = (mean - exact) / stderr if stderr > 0 else 0.0
+            rows.append(MomentRow(n, moment, params.beta, params.alpha, mean, stderr, exact, z))
+            checks.append(CheckResult(f"{name}_moment_within_4_stderr[n={n}]", abs(z) <= 4.0,
+                                      f"mean={mean:.6g} exact={exact:.6g} z={z:.2f}"))
+    return Report(rows, checks)
 
 
 class TailRow(NamedTuple):

@@ -17,7 +17,7 @@ from .analytic import (
     semicircle_cdf,
     semicircle_cdf_antiderivative,
 )
-from .quadrature import QuadratureSpec, adaptive_quad
+from .quadrature import adaptive_quad
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,10 @@ def w1_to_semicircle(mu: DiscreteMeasure, method: str = "closed_form") -> float:
     c = np.arange(m + 1) / m
 
     if method == "quadrature":
-        spec = QuadratureSpec(abs_tol=1e-10, rel_tol=1e-10)
         total = 0.0
         for lo, hi, cc in zip(left, right, c):
             if hi > lo:
-                total += adaptive_quad(lambda x, cc=cc: abs(cc - semicircle_cdf(x)), lo, hi, spec)
+                total += adaptive_quad(lambda x, cc=cc: abs(cc - semicircle_cdf(x)), lo, hi, 1e-10)
         return total
     if method != "closed_form":
         raise ValueError(f"unknown method {method!r}")

@@ -131,6 +131,8 @@ class RegimeSchedule:
         missing = [key for key in ("name", "kind", "c") if key not in d]
         if missing:
             raise ValueError(f"schedule lacks key(s) {', '.join(map(repr, missing))}")
+        if not isinstance(d["name"], str):
+            raise ValueError(f"schedule 'name' must be a string, got {d['name']!r}")
         if not all(type(d.get(key, 0.0)) in (int, float) for key in ("c", "exponent")):  # not bool
             raise ValueError(f"schedule 'c' and 'exponent' must be numbers, got {d!r}")
         return RegimeSchedule(d["name"], d["kind"], float(d["c"]), float(d.get("exponent", 0.0)))

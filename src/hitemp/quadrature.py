@@ -8,7 +8,6 @@ straddles them.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +35,6 @@ _WG = np.array([
 _MAX_SUBDIVISIONS = 4000  # interval splits before the estimate is returned as is
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for adaptive integration."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("quadrature tolerances must be positive")
-
-
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
     """Kronrod-15 estimate on [a, b] and |K15 - G7| error estimate."""
     h = 0.5 * (b - a)
@@ -59,9 +46,9 @@ def _gk15(f, a: float, b: float) -> tuple[float, float]:
     return k15, abs(k15 - g7)
 
 
-def adaptive_quad(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec(),
-                  points=()) -> float:
-    """Integrate f over [a, b] adaptively, splitting at interior `points`.
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-12, points=()) -> float:
+    """Integrate f over [a, b] adaptively, splitting at interior `points`, to an
+    error estimate of at most tol * max(1, |integral|).
 
     Integrable singularities listed in `points` become interval endpoints, so
     the rule never evaluates exactly there (endpoint node values would be
@@ -85,7 +72,7 @@ def adaptive_quad(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()
         serial += 1
 
     splits = 0
-    while err > max(spec.abs_tol, spec.rel_tol * abs(total)) and splits < _MAX_SUBDIVISIONS:
+    while err > tol * max(1.0, abs(total)) and splits < _MAX_SUBDIVISIONS:
         neg_e, _, lo, hi, est = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         l_est, l_err = _gk15(f, lo, mid)

@@ -15,7 +15,7 @@ from hitemp.analytic import (
     semicircle_cdf,
 )
 from hitemp.measures import semicircle_quantile_measure
-from hitemp.quadrature import QuadratureSpec, adaptive_quad
+from hitemp.quadrature import adaptive_quad
 
 
 def semicircle_pdf(x):
@@ -31,8 +31,7 @@ def test_pdf_values():
 
 
 def test_pdf_integrates_to_one():
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    total = adaptive_quad(lambda x: semicircle_pdf(x), -2.0, 2.0, spec)
+    total = adaptive_quad(lambda x: semicircle_pdf(x), -2.0, 2.0, 1e-12)
     assert abs(total - 1.0) <= 1e-10
 
 
@@ -44,8 +43,7 @@ def test_cdf_values():
 
 
 def test_cdf_matches_pdf_quadrature_at_one():
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    total = adaptive_quad(lambda x: semicircle_pdf(x), -2.0, 1.0, spec)
+    total = adaptive_quad(lambda x: semicircle_pdf(x), -2.0, 1.0, 1e-12)
     assert abs(semicircle_cdf(1.0) - total) <= 1e-10
     # frozen 40-digit reference: 1/2 + sqrt(3)/(4 pi) + asin(1/2)/pi
     assert semicircle_cdf(1.0) == pytest.approx(0.8044988905221147, rel=1e-14)

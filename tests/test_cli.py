@@ -34,6 +34,7 @@ def test_rate_grid(tmp_path):
     assert cli._parse_grid("0:1:3.6") == [0.0, 1.0, 2.0, 3.0]
     assert len(cli._parse_grid("2.1:0.1:2.5")) == 5
     assert len(cli._parse_grid("2.05:0.05:2.5")) == 10
+    assert len(cli._parse_grid(f"0:1:{cli._MAX_GRID_POINTS - 1}")) == cli._MAX_GRID_POINTS
     # J = -phi - 1/2 row by row
     for row in rows:
         assert float(row[1]) == pytest.approx(-float(row[2]) - 0.5, abs=1e-12)
@@ -65,7 +66,8 @@ def test_sample_then_eig_round_trip(tmp_path):
     spectrum_file = tmp_path / "spectrum.txt"
     assert run_cli("eig", "--matrix", str(dump), "--out", str(spectrum_file)) == 0
     got = np.array([float(v) for v in spectrum_file.read_text().split()])
-    want = eig.full_spectrum(load_matrix(dump))
+    tri = load_matrix(dump)
+    want = eig.batch_spectra(tri.diag[None], tri.offdiag[None])[0]
     assert np.array_equal(got, want)
     assert got.size == 16
 
@@ -256,17 +258,26 @@ def test_non_finite_grid_values_are_usage_errors(tmp_path, capsys, command, flag
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["-1e308:1e-300:1e308", "2:1e-12:3"])
-def test_oversized_grids_are_usage_errors(tmp_path, capsys, grid):
+_BAD_GRIDS = [
+    ("-1e308:1e-300:1e308", f"has more than {cli._MAX_GRID_POINTS} points"),
+    ("2:1e-12:3", f"has more than {cli._MAX_GRID_POINTS} points"),
+    ("3:1:2", "stops below its start"), ("1:0:2", "has a step <= 0"),
+    ("1:2", "is not 'start:step:stop'"), ("1:2:3:4", "is not 'start:step:stop'"),
+    ("2,x", "holds a value that is not a number"), ("1.5,2:0.1:3", "holds a value that is not a number"),
+]
+
+
+@pytest.mark.parametrize("grid, fault", _BAD_GRIDS, ids=[grid for grid, _ in _BAD_GRIDS])
+def test_oversized_grids_are_usage_errors(tmp_path, capsys, grid, fault):
     # the first overflowed in int(round(...)) and ended in a traceback, the
-    # second asked for 10^12 points
+    # second asked for 10^12 points; the malformed ones printed "invalid
+    # _parse_grid value", which names a private function and not the fault
     out = tmp_path / "rate.csv"
     with pytest.raises(SystemExit) as exc:
         run_cli("rate", f"--x={grid}", "--out", str(out))
     assert exc.value.code == 2
-    assert f"has more than {cli._MAX_GRID_POINTS} points" in capsys.readouterr().err
+    assert f"argument --x: grid {grid!r} {fault}" in capsys.readouterr().err
     assert not out.exists()
-    assert len(cli._parse_grid(f"0:1:{cli._MAX_GRID_POINTS - 1}")) == cli._MAX_GRID_POINTS
 
 
 def test_sweep_takes_no_summary(tmp_path, capsys):
@@ -441,6 +452,16 @@ def test_config_values_of_the_wrong_json_type_are_usage_errors(tmp_path, capsys,
                    "--workers", "1", "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_schedule_name_must_be_a_string(tmp_path, capsys):
+    # "name": [1] ran to exit 0 and wrote the list into the manifest
+    config, out = tmp_path / "cfg.json", tmp_path / "tail.csv"
+    config.write_text(json.dumps({"schedule": {"name": [1], "kind": "constant", "c": 0.2}, "n_values": [20]}))
+    assert run_cli("tail", "--config", str(config), "--replicas", "5", "--t", "2.5", "--workers", "1",
+                   "--out", str(out), "--manifest", str(tmp_path / "m.json")) == 2
+    assert "schedule 'name' must be a string, got [1]" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "m.json").exists()
 
 
 def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):

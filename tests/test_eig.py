@@ -22,33 +22,35 @@ def tri(diag, offdiag):
     return TridiagonalMatrix(np.asarray(diag, float), np.asarray(offdiag, float))
 
 
+def one(diag, offdiag):
+    """A batch of one matrix: (1, n) diagonals and (1, n - 1) off-diagonals."""
+    return np.asarray(diag, float)[None], np.asarray(offdiag, float)[None]
+
+
 def test_sturm_count_diagonal_matrix():
-    t = tri([1.0, 2.0, 3.0], [0.0, 0.0])
-    assert eig.sturm_count(t, 2.5) == 2
+    assert eig.counts_at_or_below(*one([1.0, 2.0, 3.0], [0.0, 0.0]), [2.5])[0] == 2
 
 
 def test_sturm_count_outside_gershgorin():
     t = tri([1.0, -2.0, 0.5], [0.3, 1.1])
     lo, hi = eig.gershgorin(t)
-    assert eig.sturm_count(t, lo - 1e-9) == 0
-    assert eig.sturm_count(t, hi + 1e-9) == 3
+    got = eig.counts_at_or_below(*one(t.diag, t.offdiag), [[lo - 1e-9], [hi + 1e-9]])
+    assert got[:, 0].tolist() == [0, 3]
 
 
 def test_sturm_count_two_by_two():
-    t = tri([0.0, 0.0], [1.0])  # eigenvalues +-1
-    assert eig.sturm_count(t, 0.0) == 1
-    # a shift exactly on an eigenvalue gives the "<= x" count
-    assert eig.sturm_count(t, -1.0) == 1
-    assert eig.sturm_count(t, 1.0) == 2
-    assert eig.sturm_count(tri([1.0, 2.0, 3.0], [0.0, 0.0]), 2.0) == 2
+    # eigenvalues +-1; a shift exactly on an eigenvalue gives the "<= x" count
+    got = eig.counts_at_or_below(*one([0.0, 0.0], [1.0]), [[0.0], [-1.0], [1.0]])
+    assert got[:, 0].tolist() == [1, 1, 2]
+    assert eig.counts_at_or_below(*one([1.0, 2.0, 3.0], [0.0, 0.0]), [2.0])[0] == 2
 
 
 def test_sturm_count_stability_at_coincident_shift():
     # a shift landing exactly on an eigenvalue must stay between the counts
     # a hair below and above it (the safeguarded pivot counts it as "<=")
-    t = tri([1.0, 2.0, 3.0], [0.0, 0.0])
     h = 1e-9
-    assert eig.sturm_count(t, 2.0 - h) <= eig.sturm_count(t, 2.0) <= eig.sturm_count(t, 2.0 + h)
+    below, at, above = eig.counts_at_or_below(*one([1.0, 2.0, 3.0], [0.0, 0.0]), [[2.0 - h], [2.0], [2.0 + h]])[:, 0]
+    assert below <= at <= above
 
 
 def test_gershgorin_examples():
@@ -58,13 +60,13 @@ def test_gershgorin_examples():
 
 
 def test_lambda_max_two_by_two():
-    assert eig.lambda_max(tri([0.0, 0.0], [1.0]), 1e-12) == pytest.approx(1.0, abs=1e-12)
+    assert eig.lambda_max_batch(*one([0.0, 0.0], [1.0]), 1e-12)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lambda_max_three_by_three():
     # characteristic polynomial lambda^3 - 2 lambda = 0 -> extremes +-sqrt(2)
-    t = tri([0.0, 0.0, 0.0], [1.0, 1.0])
-    assert eig.lambda_max(t, 1e-12) == pytest.approx(math.sqrt(2), abs=1e-11)
+    got = eig.lambda_max_batch(*one([0.0, 0.0, 0.0], [1.0, 1.0]), 1e-12)[0]
+    assert got == pytest.approx(math.sqrt(2), abs=1e-11)
 
 
 def test_lambda_max_matches_charpoly_oracle():
@@ -72,31 +74,29 @@ def test_lambda_max_matches_charpoly_oracle():
     for _ in range(10):
         diag = rng.normal(size=8)
         off = np.abs(rng.normal(size=7))
-        t = tri(diag, off)
         oracle = charpoly_eigenvalues(diag, off)
-        assert eig.lambda_max(t, 1e-12) == pytest.approx(oracle[-1], abs=1e-9)
+        assert eig.lambda_max_batch(*one(diag, off), 1e-12)[0] == pytest.approx(oracle[-1], abs=1e-9)
 
 
 def test_invalid_tol():
-    t = tri([0.0, 0.0], [1.0])
     with pytest.raises(ValueError):
-        eig.lambda_max(t, -1e-9)
+        eig.lambda_max_batch(*one([0.0, 0.0], [1.0]), -1e-9)
 
 
 def test_full_spectrum_diagonal():
-    got = eig.full_spectrum(tri([3.0, 1.0, 2.0], [0.0, 0.0]))
+    got = eig.batch_spectra(*one([3.0, 1.0, 2.0], [0.0, 0.0]))[0]
     assert got == pytest.approx([1.0, 2.0, 3.0], abs=1e-11)
 
 
 def test_full_spectrum_two_by_two():
-    got = eig.full_spectrum(tri([0.0, 0.0], [1.0]))
+    got = eig.batch_spectra(*one([0.0, 0.0], [1.0]))[0]
     assert got == pytest.approx([-1.0, 1.0], abs=1e-11)
 
 
 def test_full_spectrum_trace_conservation():
     t = sample_matrix(make_params(80, 0.2), SeededStream(1, 0))
     tol = 1e-11
-    spec = eig.full_spectrum(t)
+    spec = eig.batch_spectra(*one(t.diag, t.offdiag))[0]
     norm = max(np.max(np.abs(t.diag)), np.max(t.offdiag))
     assert abs(spec.sum() - t.diag.sum()) <= t.n * tol + 1e-10 * norm
     assert np.all(np.diff(spec) >= 0)
@@ -107,8 +107,8 @@ def test_full_spectrum_trace_conservation():
 def test_consistency_count_at_lambda_max():
     t = sample_matrix(make_params(30, 0.4), SeededStream(2, 0))
     tol = 1e-10
-    lm = eig.lambda_max(t, tol)
-    assert eig.sturm_count(t, lm + 2 * tol) == t.n
+    lm = eig.lambda_max_batch(*one(t.diag, t.offdiag), tol)
+    assert eig.counts_at_or_below(*one(t.diag, t.offdiag), lm + 2 * tol)[0] == t.n
 
 
 def _cubic_eigenvalues(d0, d1, d2, e0, e1):
@@ -142,8 +142,7 @@ def test_all_integer_three_by_three_against_cubic_formula():
     vals = range(-2, 3)
     for d0, d1, d2 in itertools.product(vals, repeat=3):
         for e0, e1 in itertools.product((0, 1, 2), repeat=2):
-            t = tri([d0, d1, d2], [e0, e1])
-            got = eig.full_spectrum(t)
+            got = eig.batch_spectra(*one([d0, d1, d2], [e0, e1]))[0]
             want = _cubic_eigenvalues(d0, d1, d2, e0, e1)
             assert np.max(np.abs(got - want)) <= 1e-9, (d0, d1, d2, e0, e1)
 
@@ -158,34 +157,8 @@ def test_all_integer_three_by_three_against_cubic_formula():
 def test_sturm_monotone_in_shift(diag, seed, x, y):
     rng = np.random.default_rng(seed)
     off = rng.uniform(0.0, 3.0, size=len(diag) - 1)
-    t = tri(diag, off)
-    lo, hi = sorted((x, y))
-    assert eig.sturm_count(t, lo) <= eig.sturm_count(t, hi)
-
-
-def test_batch_matches_scalar_paths():
-    rng = np.random.Generator(np.random.Philox(key=77))
-    diags = rng.normal(size=(6, 12))
-    offs = np.abs(rng.normal(size=(6, 11)))
-    lm = eig.lambda_max_batch(diags, offs, 1e-11)
-    spectra = eig.batch_spectra(diags, offs)
-    counts = {s: eig.counts_abs_at_or_above(diags, offs, s) for s in (0.5, 1.5, 2.5)}
-    for i in range(6):
-        t = tri(diags[i], offs[i])
-        assert lm[i] == eig.lambda_max(t, 1e-11)
-        assert np.array_equal(spectra[i], eig.full_spectrum(t))
-        for s, c in counts.items():
-            assert c[i] == t.n - eig.sturm_count(t, s) + eig.sturm_count(t, -s)
-
-
-def test_batch_lane_independence():
-    # a lane's result must not depend on what else is in the batch
-    rng = np.random.Generator(np.random.Philox(key=78))
-    diags = rng.normal(size=(5, 9))
-    offs = np.abs(rng.normal(size=(5, 8)))
-    full = eig.lambda_max_batch(diags, offs, 1e-11)
-    solo = eig.lambda_max_batch(diags[2:3], offs[2:3], 1e-11)
-    assert full[2] == solo[0]
+    lo, hi = eig.counts_at_or_below(*one(diag, off), [[min(x, y)], [max(x, y)]])[:, 0]
+    assert lo <= hi
 
 
 def _sampled_batch(r, n, seed):
@@ -208,20 +181,23 @@ def test_batch_lane_independence_all_entry_points(diags, offs, row, tol):
     solo = (diags[row:row + 1], offs[row:row + 1])
     assert eig.lambda_max_batch(diags, offs, tol)[row] == eig.lambda_max_batch(*solo, tol)[0]
     assert np.array_equal(eig.batch_spectra(diags, offs)[row], eig.batch_spectra(*solo)[0])
+    shifts = np.repeat(np.linspace(-3.0, 3.0, 7)[:, None], len(diags), axis=1)
+    assert np.array_equal(eig.counts_at_or_below(diags, offs, shifts)[:, row],
+                          eig.counts_at_or_below(*solo, shifts[:, row:row + 1])[:, 0])
+    assert eig.counts_abs_at_or_above(diags, offs, 1.5)[row] == eig.counts_abs_at_or_above(*solo, 1.5)[0]
 
 
-def _check_against_sturm_counts(diags, offs, tol):
+def _check_against_counts(diags, offs, tol):
     # the Sturm recurrence is independent of LAPACK: lambda_max must sit within
     # tol of the n-th count step, and each spectrum must step through 1..n
     n = diags.shape[1]
-    b2s = offs**2
     lm = eig.lambda_max_batch(diags, offs, tol)
-    assert np.all(eig._sturm_counts(diags, b2s, lm + tol) == n)
-    assert np.all(eig._sturm_counts(diags, b2s, lm - tol) <= n - 1)
+    assert np.all(eig.counts_at_or_below(diags, offs, lm + tol) == n)
+    assert np.all(eig.counts_at_or_below(diags, offs, lm - tol) <= n - 1)
     spectra = eig.batch_spectra(diags, offs)
     assert np.all(np.diff(spectra, axis=1) >= 0)
     distinct = spectra[:, 1:] > spectra[:, :-1]
-    counts = eig._sturm_counts(diags, b2s, 0.5 * (spectra[:, 1:] + spectra[:, :-1]))
+    counts = eig.counts_at_or_below(diags, offs, 0.5 * (spectra[:, 1:] + spectra[:, :-1]).T).T
     k = np.broadcast_to(np.arange(1, n), counts.shape)
     assert np.array_equal(counts[distinct], k[distinct])
     norm = np.max(np.abs(diags), axis=1) + 2 * np.max(offs, axis=1, initial=0.0)
@@ -232,7 +208,7 @@ def _check_against_sturm_counts(diags, offs, tol):
 @pytest.mark.parametrize("r", [1, 3, 40])
 @pytest.mark.parametrize("n", [50, 400])
 def test_lapack_results_match_sturm_counts(r, n, tol):
-    _check_against_sturm_counts(*_sampled_batch(r, n, 11 + r), tol)
+    _check_against_counts(*_sampled_batch(r, n, 11 + r), tol)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-300])
@@ -241,17 +217,18 @@ def test_repeated_eigenvalues(tol):
     assert eig.lambda_max_batch(diags, offs, tol)[0] == 2.0
     assert np.array_equal(eig.batch_spectra(diags, offs)[0], [1.0, 1.0, 1.0, 2.0])
     if tol != 1e-300:  # a tol below the float spacing leaves no room either side
-        _check_against_sturm_counts(diags, offs, tol)
+        _check_against_counts(diags, offs, tol)
 
 
-def _bisect_one_level(diags, b2s, lo, hi, targets):
-    """Halve each bracket on its Sturm count until no double lies strictly inside."""
+def _bisect_one_level(diags, offs, lo, hi, targets):
+    """Halve each bracket on its Sturm count until no double lies strictly inside;
+    brackets of shape (r,) or (k, r), as counts_at_or_below takes shifts."""
     while True:
         mid = 0.5 * (lo + hi)
         active = (lo < mid) & (mid < hi)
         if not active.any():
             return mid
-        reached = eig._sturm_counts(diags, b2s, mid) >= targets
+        reached = eig.counts_at_or_below(diags, offs, mid) >= targets
         hi = np.where(active & reached, mid, hi)
         lo = np.where(active & ~reached, mid, lo)
 
@@ -262,17 +239,14 @@ def test_multisection_matches_one_level_below_float_spacing(r):
     # of doubles can reach, dstebz and dsterf must agree with a one-level Sturm
     # bisection run to adjacent doubles, to within both methods' n*eps*||T||
     diags, offs = _sampled_batch(r, 12, 13)
-    n, b2s = diags.shape[1], offs**2
+    n = diags.shape[1]
     lo, hi = np.array([eig.gershgorin(tri(d, o)) for d, o in zip(diags, offs)]).T
     bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-    lm = _bisect_one_level(diags, b2s, lo, hi, n)
+    lm = _bisect_one_level(diags, offs, lo, hi, n)
     assert np.all(np.abs(eig.lambda_max_batch(diags, offs, 1e-300) - lm) <= bound)
-    spectra = np.sort(_bisect_one_level(diags, b2s, np.repeat(lo[:, None], n, axis=1),
-                                        np.repeat(hi[:, None], n, axis=1), np.arange(1, n + 1)), axis=1)
-    got = eig.batch_spectra(diags, offs)
-    assert np.all(np.abs(got - spectra) <= bound[:, None])
-    if r == 1:
-        assert np.array_equal(eig.full_spectrum(tri(diags[0], offs[0])), got[0])
+    spectra = np.sort(_bisect_one_level(diags, offs, np.repeat(lo[None], n, axis=0),
+                                        np.repeat(hi[None], n, axis=0), np.arange(1, n + 1)[:, None]).T, axis=1)
+    assert np.all(np.abs(eig.batch_spectra(diags, offs) - spectra) <= bound[:, None])
 
 
 def test_missing_library_is_a_runtime_error(tmp_path, monkeypatch):
@@ -302,6 +276,23 @@ def test_counts_abs_at_or_above():
     assert eig.counts_abs_at_or_above(d, o, 10.0)[0] == 0
 
 
+def test_counts_at_k_shifts_are_k_calls_at_one_shift():
+    rng = np.random.Generator(np.random.Philox(key=77))
+    diags, offs = rng.normal(size=(6, 12)), np.abs(rng.normal(size=(6, 11)))
+    shifts = rng.uniform(-4.0, 4.0, size=(5, 6))
+    got = eig.counts_at_or_below(diags, offs, shifts)
+    assert got.shape == (5, 6)
+    assert np.array_equal(got, [eig.counts_at_or_below(diags, offs, s) for s in shifts])
+    for s in (0.5, 1.5, 2.5):
+        tt = np.full(6, s)
+        want = 12 - eig.counts_at_or_below(diags, offs, tt) + eig.counts_at_or_below(diags, offs, -tt)
+        assert np.array_equal(eig.counts_abs_at_or_above(diags, offs, s), want)
+    # the tie rule: a shift exactly on an eigenvalue (+-1) counts it
+    assert eig.counts_at_or_below([[0.0, 0.0]], [[1.0]], [[-1.0], [1.0]]).tolist() == [[1], [2]]
+    with pytest.raises(ValueError, match=re.escape("need (r,) or (k, r) shifts for r = 6 matrices, got (6, 5)")):
+        eig.counts_at_or_below(diags, offs, shifts.T)
+
+
 @pytest.mark.parametrize("offs", [np.array([[0.0, 0.0, 5.0]]), np.zeros((1, 1)), np.zeros((2, 2)), np.zeros(2)],
                          ids=lambda offs: str(offs.shape))
 def test_batch_entry_points_reject_a_mis_shaped_batch(offs):
@@ -310,6 +301,7 @@ def test_batch_entry_points_reject_a_mis_shaped_batch(offs):
     diags = np.array([[1.0, 2.0, 3.0]])
     message = re.escape(f"need (r, n) diagonals and (r, n - 1) off-diagonals, got (1, 3) and {offs.shape}")
     for solve in (lambda d, o: eig.lambda_max_batch(d, o, 1e-12), eig.batch_spectra,
+                  lambda d, o: eig.counts_at_or_below(d, o, [2.5]),
                   lambda d, o: eig.counts_abs_at_or_above(d, o, 2.5)):
         with pytest.raises(ValueError, match=message):
             solve(diags, offs)
@@ -324,7 +316,7 @@ _BELOW_FLOAT_SPACING = textwrap.dedent("""
     from hitemp.sampler import SeededStream, TridiagonalMatrix, dump_matrix, sample_matrix
 
     t = TridiagonalMatrix(np.array([0.3, 1.7, -0.4]), np.array([1.0, 0.5]))
-    got = eig.full_spectrum(t)
+    got = eig.batch_spectra(t.diag[None], t.offdiag[None])[0]
     assert np.max(np.abs(got - charpoly_eigenvalues(t.diag, t.offdiag))) <= 1e-12
     mats = [sample_matrix(make_params(40, 0.3), SeededStream(3, r)) for r in range(4)]
     diags = np.array([m.diag for m in mats])
