@@ -161,6 +161,16 @@ def test_sturm_monotone_in_shift(diag, seed, x, y):
     assert lo <= hi
 
 
+def test_batch_lane_independence():
+    # a lane's result must not depend on what else is in the batch
+    rng = np.random.Generator(np.random.Philox(key=78))
+    diags = rng.normal(size=(5, 9))
+    offs = np.abs(rng.normal(size=(5, 8)))
+    full = eig.lambda_max_batch(diags, offs, 1e-11)
+    solo = eig.lambda_max_batch(diags[2:3], offs[2:3], 1e-11)
+    assert full[2] == solo[0]
+
+
 def _sampled_batch(r, n, seed):
     mats = [sample_matrix(make_params(n, 0.2), SeededStream(seed, i)) for i in range(r)]
     return np.array([m.diag for m in mats]), np.array([m.offdiag for m in mats])
