@@ -2,7 +2,7 @@
 spectra, rate-function analytics, Selberg partition asymptotics and
 desk-scale large-deviations experiments."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 import os  # hitemp runs no threaded BLAS; OpenBLAS's idle worker thread spins 50-60 ms of CPU
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads, unless already set

@@ -145,9 +145,12 @@ def _load_config_file(path) -> dict:
         data = json.load(fh, parse_constant=reject)
     if not isinstance(data, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    if isinstance(data.get("config"), dict):
-        return data["config"]  # a run manifest round-trips as a config
-    return data
+    if not isinstance(data.get("config"), dict):
+        return data
+    if data.get("stream_contract") != STREAM_CONTRACT:  # its config would draw other matrices
+        raise ValueError(f"manifest {path} was run under stream contract {data.get('stream_contract')!r}, "
+                         f"not this version's {STREAM_CONTRACT!r}")
+    return data["config"]  # a run manifest round-trips as a config
 
 
 _NUMBER = (int, float)
@@ -258,7 +261,7 @@ def _add_sample_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--seed", type=int, default=20260101)
-    sp.add_argument("--stream", type=int, default=0)
+    sp.add_argument("--stream", type=int, default=0, help="replica index r: row r mod B(n) of the Philox block r // B(n) keyed --seed")
     sp.add_argument("--plus-one-alpha", action="store_true")
     sp.add_argument("--out", required=True, help="dump file path")
 

@@ -3,14 +3,12 @@ the trace identity, the empirical tail rate against the rate function, the
 partition-function tail bound and empirical-measure convergence, plus the
 per-replica largest eigenvalues behind the concentration at 2.
 
-Replica r always consumes stream_index = r of the cell's seed, chunks are a
-fixed function of (replicas, n), and the solver treats each matrix of a batch
-on its own, so outputs are byte-identical for any worker count.  Several
-workers are forked children, one set per campaign, filling one shared
-buffer.  The fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
-
-A chunk is sampled by one Philox generator re-keyed to (cell key, r) for
-replica r, with sample_matrix's entry arithmetic done once per sub-block.
+Replica r of a cell is row r mod B(n) of the cell's Philox block r // B(n)
+(sampler.sample_rows), chunks are a fixed function of (replicas, n), and the
+solver treats each matrix of a batch on its own, so outputs are byte-identical
+for any worker count.  Several workers are forked children, one set per
+campaign, filling one shared buffer.  The fields of TailRow, TailboundRow and
+EsdRow are the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -28,17 +26,17 @@ from .analytic import energy_I, rate_J
 from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle
 from .model import EnsembleParams, RegimeSchedule, make_params
 from .partition import log_tail_bound
-from .sampler import _U64, SeededStream, _chi_shapes, _scale_entries, sample_matrix
+from .sampler import _U64, SeededStream, sample_matrix, sample_rows
 
 _CHUNK_ELEMS = 2_000_000
 _MIN_TASKS = 8  # worker-count independent task granularity
-_SCRATCH_ELEMS = 65536  # uniforms per sub-block: a whole chunk's would raise peak RSS
 
 # recorded in run manifests; outputs under another contract are not comparable
 STREAM_CONTRACT = (
     "cell key = SeedSequence((master_seed mod 2^64, n)).generate_state(1, uint64)[0]; "
-    "replica r = Philox(key = cell key + r * 2^64); per matrix: standard_normal(n), "
-    "standard_gamma(j*beta/2 + 1) for j = n-1..1, random(n-1)")
+    "B = max(1, 2048 // n); block b = Philox(key = cell key + b * 2^64): standard_normal((B, n)), "
+    "standard_gamma(j*beta/2 + 1) for j = n-1..1 broadcast to (B, n-1), random((B, n-1)); "
+    "replica r = row r mod B of block r // B")
 
 # dstebz's ABSTOL for every lambda_max; dsterf, which solves spectra, takes none
 ABSTOL = 1e-12
@@ -112,29 +110,13 @@ def _chunks(replicas: int, n: int):
 
 
 def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
-    """Rows j of (diags, offs) are sample_matrix(params, SeededStream(cell key, start + j))."""
+    """Rows j of (diags, offs) are sample_matrix(params, SeededStream(cell key, start + j)):
+    whole Philox blocks drawn by sampler.sample_rows, sliced at the chunk's edges."""
     params, seed = cfg.params_for(n), cfg.cell_seed(n)
-    if count == 1:  # one generator either way; perfbench traces sample_matrix
+    if count == 1:  # perfbench traces sample_matrix
         tri = sample_matrix(params, SeededStream(seed, start))
         return tri.diag[None], tri.offdiag[None]
-    # Philox is counter-based: a pristine state re-keyed to (cell key, r) is stream r
-    bitgen = np.random.Philox(key=seed)
-    rng, state = np.random.Generator(bitgen), bitgen.state
-    shapes = _chi_shapes(n, params.beta)
-    gamma_shapes = shapes / 2.0 + 1.0
-    diags, offs = np.empty((count, n)), np.empty((count, n - 1))
-    rows = max(1, _SCRATCH_ELEMS // n)
-    u = np.empty((min(rows, count), n - 1))
-    for lo in range(0, count, rows):
-        hi = min(lo + rows, count)
-        for j in range(lo, hi):
-            state["state"]["key"][1] = start + j
-            bitgen.state = state
-            rng.standard_normal(out=diags[j])
-            rng.standard_gamma(gamma_shapes, out=offs[j])
-            rng.random(out=u[j - lo])
-        _scale_entries(diags[lo:hi], offs[lo:hi], u[:hi - lo], shapes, params.alpha)
-    return diags, offs
+    return sample_rows(params, seed, start, count)
 
 
 # A task is (cfg, n, start, count): replicas start..start+count-1 of size n.

@@ -20,6 +20,7 @@ import numpy as np
 from .model import EnsembleParams
 
 _U64 = (1 << 64) - 1
+_SCRATCH_ELEMS = 65536  # uniforms per sub-block: a whole chunk's would raise peak RSS
 
 
 class SeededStream:
@@ -28,11 +29,9 @@ class SeededStream:
     Backed by the counter-based Philox generator keyed with the 128-bit value
     master_seed + stream_index * 2^64, so distinct stream indices select
     distinct cipher keys and are non-overlapping by construction.  A stream
-    instance is stateful and must not be shared across threads; streams with
-    different indices may be consumed concurrently.  This is the public
-    per-replica handle, the one perfbench rebuilds matrices from; campaigns
-    draw the same streams by re-keying one Philox per block of replicas
-    (experiments._sample_block).
+    instance is stateful and must not be shared across threads.  sample_matrix
+    reads the pair as (cell key, replica r) and draws from the stream of r's
+    block, SeededStream(master_seed, r // B(n)); it does not consume this rng.
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
@@ -97,44 +96,60 @@ class TridiagonalMatrix:
         return self.diag.size
 
 
-def _chi_shapes(n: int, beta: float) -> np.ndarray:
-    """The chi shapes j*beta of offdiag[0..n-2], j = n-1..1."""
-    return np.arange(n - 1, 0, -1, dtype=float) * beta
+def block_rows(n: int) -> int:
+    """B(n), the replicas of a cell that share one Philox stream; 1 for n > 1024."""
+    return max(1, 2048 // n)
 
 
-def _scale_entries(diag, off, u, shapes, alpha: float) -> None:
-    """In place, on one row or a block of rows: N(0,1) draws in diag, G_{k/2+1}
-    in off and random() in u, k = shapes, become g/sqrt(alpha) and
-    X_k/sqrt(2*alpha) by log_chi's arithmetic, without its shape checks."""
-    np.divide(diag, math.sqrt(alpha), out=diag)
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    u *= 2.0 / shapes
-    np.log(off, out=off)
-    off += u
-    off += math.log(2.0)
-    off *= 0.5
-    off -= 0.5 * math.log(2.0 * alpha)
-    np.exp(off, out=off)
+def sample_rows(params: EnsembleParams, key: int, start: int, count: int):
+    """Replicas start..start+count-1 of the cell keyed `key`: (diags, offdiags)
+    of shapes (count, n) and (count, n-1).
+
+    Block b of the cell is the stream SeededStream(key, b).  It draws
+    standard_normal((B, n)), standard_gamma(j*beta/2 + 1) for j = n-1..1
+    broadcast to (B, n-1), then random((B, n-1)); replica r is row r mod B of
+    block r // B, B = block_rows(n).  Every block the range touches is drawn
+    whole, so a row does not depend on the range.  Per sub-block of at most
+    _SCRATCH_ELEMS uniforms, log_chi's arithmetic runs in place, bit-identical.
+    """
+    n, alpha, B = params.n, params.alpha, block_rows(params.n)
+    shapes = np.arange(n - 1, 0, -1, dtype=float) * params.beta  # j*beta, j = n-1..1
+    boost = shapes / 2.0 + 1.0
+    first = start // B
+    rows = (-(-(start + count) // B) - first) * B
+    diags, offs = np.empty((rows, n)), np.empty((rows, n - 1))
+    # Philox is counter-based: a pristine state re-keyed to (key, b) is block b
+    bitgen = np.random.Philox(key=int(key) & _U64)
+    rng, state = np.random.Generator(bitgen), bitgen.state
+    per = B * max(1, _SCRATCH_ELEMS // (B * n))
+    u = np.empty((min(per, rows), n - 1))
+    for lo in range(0, rows, per):
+        d, off, v = diags[lo:lo + per], offs[lo:lo + per], u[:rows - lo]
+        for j in range(0, len(d), B):
+            state["state"]["key"][1] = first + (lo + j) // B
+            bitgen.state = state
+            rng.standard_normal(out=d[j:j + B])
+            rng.standard_gamma(boost, out=off[j:j + B])
+            rng.random(out=v[j:j + B])
+        np.divide(d, math.sqrt(alpha), out=d)
+        np.log1p(np.negative(v, out=v), out=v)  # log U, U ~ Uniform(0, 1]
+        v *= 2.0 / shapes
+        np.log(off, out=off)
+        off += v
+        off += math.log(2.0)
+        off *= 0.5
+        off -= 0.5 * math.log(2.0 * alpha)
+        np.exp(off, out=off)
+    skip = start - first * B
+    return diags[skip:skip + count], offs[skip:skip + count]
 
 
 def sample_matrix(params: EnsembleParams, stream: SeededStream) -> TridiagonalMatrix:
-    """Draw one tridiagonal realization of the ensemble.
-
-    diag[i] = g/sqrt(alpha); offdiag[0..n-2] = X_{n-1},...,X_1 scaled by
-    1/sqrt(2*alpha), with X_j ~ chi(j*beta).  The draw order (n normals, the
-    n-1 boosted gammas, then the n-1 uniforms) is part of the reproducibility
-    contract.  The entries come from _scale_entries, which campaigns apply
-    to blocks of rows, bit-identical to building the matrix from log_chi.
-    """
-    n, alpha, beta = params.n, params.alpha, params.beta
-    rng = stream.rng
-    shapes = _chi_shapes(n, beta)
-    diag = rng.standard_normal(n)
-    off = rng.standard_gamma(shapes / 2.0 + 1.0)
-    u = rng.random(n - 1)
-    _scale_entries(diag, off, u, shapes, alpha)
-    return TridiagonalMatrix(diag, off)
+    """Replica r = stream.stream_index of the cell keyed stream.master_seed:
+    row r mod B(n) of block r // B(n) (sample_rows).  diag[i] = g/sqrt(alpha);
+    offdiag[0..n-2] = X_{n-1},...,X_1 scaled by 1/sqrt(2*alpha), X_j ~ chi(j*beta)."""
+    diags, offs = sample_rows(params, stream.master_seed, stream.stream_index, 1)
+    return TridiagonalMatrix(diags[0], offs[0])
 
 
 def dump_matrix(tri: TridiagonalMatrix, path) -> None:

@@ -9,9 +9,16 @@ import sys
 import numpy as np
 import pytest
 
-from hitemp import cli, eig
+from hitemp import cli, eig, experiments
 from hitemp.cli import main
 from hitemp.sampler import load_matrix
+
+
+# the per-replica layout that 0.3.0 manifests record
+V030_STREAM_CONTRACT = (
+    "cell key = SeedSequence((master_seed mod 2^64, n)).generate_state(1, uint64)[0]; "
+    "replica r = Philox(key = cell key + r * 2^64); per matrix: standard_normal(n), "
+    "standard_gamma(j*beta/2 + 1) for j = n-1..1, random(n-1)")
 
 
 def run_cli(*argv):
@@ -130,12 +137,14 @@ def test_manifest_round_trip(tmp_path, capsys):
                    "--workers", "1", "--out", str(out1), "--manifest", str(manifest)) == 0
     meta = json.loads(manifest.read_text())
     assert meta["master_seed"] == 321
-    assert meta["tool_version"] == "0.3.0"
+    assert meta["tool_version"] == "0.4.0"
     assert meta["python"] == platform.python_version()
     assert meta["numpy"] == np.__version__
     assert meta["platform"] == platform.platform()
     assert meta["nproc"] == os.cpu_count()
+    assert meta["stream_contract"] == experiments.STREAM_CONTRACT
     assert "SeedSequence((master_seed mod 2^64, n))" in meta["stream_contract"]
+    assert "B = max(1, 2048 // n)" in meta["stream_contract"]
     assert meta["solver"] == {"lambda_max": "dstebz, RANGE='I', IL=IU=n, ABSTOL=1e-12",
                               "spectra": "dsterf",
                               "library": os.path.basename(eig.library()[0])}
@@ -170,6 +179,25 @@ def test_manifest_round_trip(tmp_path, capsys):
                    "--out", str(out5)) == 2
     assert "'solver_tol' is 0.001" in capsys.readouterr().err
     assert not out5.exists()
+    # a manifest of another stream contract, or one that records none, would
+    # replay its config into other matrices: refused, naming both contracts
+    del meta["config"]["solver_tol"]
+    for contract in (V030_STREAM_CONTRACT, None):
+        meta["stream_contract"] = contract
+        if contract is None:
+            del meta["stream_contract"]
+        old_manifest.write_text(json.dumps(meta))
+        assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
+                       "--out", str(out5)) == 2
+        err = capsys.readouterr().err
+        assert repr(contract) in err and repr(experiments.STREAM_CONTRACT) in err
+        assert not out5.exists()
+    # a hand-written config carries no contract and loads as before
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(meta["config"]))
+    assert run_cli("sweep", "--config", str(config), "--workers", "1",
+                   "--out", str(out5)) == 0
+    assert out1.read_bytes() == out5.read_bytes()
 
 
 def test_flag_overrides_config(tmp_path):

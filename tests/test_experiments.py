@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from hitemp import cli, eig, experiments
+from hitemp import cli, eig, experiments, sampler
 from hitemp.analytic import energy_I, rate_J
 from hitemp.experiments import (
     ExperimentConfig,
@@ -20,7 +20,7 @@ from hitemp.experiments import (
 from hitemp.measures import semicircle_quantile_measure
 from hitemp.model import RegimeSchedule, make_params
 from hitemp.partition import log_tail_bound
-from hitemp.sampler import SeededStream, sample_matrix
+from hitemp.sampler import SeededStream, block_rows, sample_matrix
 
 
 def cfg_with(**kw):
@@ -62,12 +62,12 @@ def test_cell_seeds_do_not_alias_across_campaigns():
 
 
 def test_sample_block_rows_are_sample_matrix():
-    # every row is its replica's own stream: n = 2; 200 rows at n = 700 span
-    # three sub-blocks of the 65536-element uniform scratch; nonzero starts;
-    # master seed 3 has cell keys >= 2^63 at n = 2 and 700
+    # every row is its replica as sample_matrix draws it: n = 2; 200 rows at
+    # n = 700 span three sub-blocks of the 65536-element uniform scratch;
+    # nonzero starts; master seed 3 has cell keys >= 2^63 at n = 2 and 700
     cases = ((424242, 30, 5, 4), (3, 2, 0, 6), (3, 700, 11, 200))
     assert all(cfg_with(master_seed=3).cell_seed(n) >= 2**63 for n in (2, 700))
-    assert 200 > 2 * (experiments._SCRATCH_ELEMS // 700)
+    assert 200 > 2 * (sampler._SCRATCH_ELEMS // 700)
     for plus_one_alpha in (False, True):
         for seed, n, start, count in cases:
             cfg = cfg_with(schedule=RegimeSchedule.constant(0.2), master_seed=seed,
@@ -77,14 +77,48 @@ def test_sample_block_rows_are_sample_matrix():
             for j in range(count):
                 tri = sample_matrix(cfg.params_for(n), SeededStream(cfg.cell_seed(n), start + j))
                 assert np.array_equal(diags[j], tri.diag) and np.array_equal(offs[j], tri.offdiag)
-    # overlapping blocks agree row for row, so no generator state carries
-    # from one replica to the next
+    # overlapping ranges agree row for row, so no generator state carries
+    # from one Philox block to the next
     cfg = cfg_with(master_seed=3)
     diags, offs = _sample_block(cfg, 700, 0, 200)
     for start, count in ((1, 1), (50, 120), (199, 1)):
         d, o = _sample_block(cfg, 700, start, count)
         assert np.array_equal(d, diags[start:start + count])
         assert np.array_equal(o, offs[start:start + count])
+
+
+def test_replicas_are_independent_across_blocks():
+    # at n = 50 a Philox block holds B = 40 replicas; ranges that start or end
+    # inside a block, or straddle one or more block edges, give each replica
+    # its own row, whichever range it is drawn in.  Above n = 1024 a block is
+    # one replica
+    assert [block_rows(n) for n in (2, 50, 200, 400, 1024)] == [1024, 40, 10, 5, 2]
+    assert all(block_rows(n) == 1 for n in (1025, 1500, 2000, 2048, 4000, 10**6))
+    cfg = cfg_with(schedule=RegimeSchedule.constant(0.2), master_seed=17)
+    params, key = cfg.params_for(50), cfg.cell_seed(50)
+    for start, count in ((0, 40), (0, 41), (39, 2), (13, 27), (13, 28), (25, 100), (79, 3), (120, 2)):
+        diags, offs = _sample_block(cfg, 50, start, count)
+        assert diags.shape == (count, 50) and offs.shape == (count, 49)
+        for j in range(count):
+            tri = sample_matrix(params, SeededStream(key, start + j))
+            assert np.array_equal(diags[j], tri.diag) and np.array_equal(offs[j], tri.offdiag)
+    # rows of different blocks, and of one block, are different draws
+    diags, _ = _sample_block(cfg, 50, 0, 80)
+    assert len({row.tobytes() for row in diags}) == 80
+
+
+def test_tail_campaign_byte_identical_at_1_2_and_3_workers(tmp_path):
+    # 130 replicas at n = 50: chunks of 17 rows cut Philox blocks of 40 at
+    # their edges, and 130 is not a multiple of 40
+    outs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"tail{workers}.csv"
+        assert cli.main(["tail", "--schedule", "const", "--c", "0.2", "--n", "50,60",
+                         "--t", "2.5,3", "--replicas", "130", "--seed", "5",
+                         "--workers", str(workers), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert 130 % block_rows(50) and experiments._chunks(130, 50)[0] == (0, 17)
+    assert outs[0] == outs[1] == outs[2]
 
 
 def _moment_rows_from_separate_blocks(cfg):

@@ -9,6 +9,7 @@ from hitemp.model import make_params
 from hitemp.sampler import (
     SeededStream,
     TridiagonalMatrix,
+    block_rows,
     dump_matrix,
     load_matrix,
     log_chi,
@@ -87,17 +88,30 @@ def test_log_chi_tiny_shape_stays_finite():
 
 
 def test_sample_matrix_entry_construction():
+    # replica r is row r mod B of the Philox block r // B, B = block_rows(n):
     # entries are g/sqrt(alpha) on the diagonal and chi(j*beta) variates,
-    # j = n-1..1, scaled by 1/sqrt(2*alpha) off it, drawn normals-then-chi;
-    # the in-place path must match the log_chi construction bit for bit
-    for n in (2, 50, 400):
+    # j = n-1..1, scaled by 1/sqrt(2*alpha) off it, the block drawing all its
+    # normals, then its chi variates; the in-place path must match the
+    # log_chi construction bit for bit
+    for n, r in ((2, 3), (50, 3), (50, 43), (400, 3), (400, 9)):
         params = make_params(n, 0.37)
-        tri = sample_matrix(params, SeededStream(77, 3))
-        twin = SeededStream(77, 3)
-        g = twin.rng.standard_normal(n)
-        lx = log_chi(np.arange(n - 1, 0, -1, dtype=float) * 0.37, twin)
-        assert np.array_equal(tri.diag, g / math.sqrt(params.alpha))
-        assert np.array_equal(tri.offdiag, np.exp(lx - 0.5 * math.log(2 * params.alpha)))
+        rows = block_rows(n)
+        tri = sample_matrix(params, SeededStream(77, r))
+        twin = SeededStream(77, r // rows)
+        g = twin.rng.standard_normal((rows, n))
+        lx = log_chi(np.arange(n - 1, 0, -1, dtype=float) * 0.37, twin, size=(rows, n - 1))
+        assert np.array_equal(tri.diag, g[r % rows] / math.sqrt(params.alpha))
+        assert np.array_equal(tri.offdiag, np.exp(lx[r % rows] - 0.5 * math.log(2 * params.alpha)))
+    # above n = 1024 a block is one replica: replica r is the per-replica
+    # stream r of 0.3.0, n normals then the n-1 chi variates
+    params = make_params(1500, 0.37)
+    assert block_rows(1500) == 1
+    tri = sample_matrix(params, SeededStream(77, 3))
+    twin = SeededStream(77, 3)
+    g = twin.rng.standard_normal(1500)
+    lx = log_chi(np.arange(1499, 0, -1, dtype=float) * 0.37, twin)
+    assert np.array_equal(tri.diag, g / math.sqrt(params.alpha))
+    assert np.array_equal(tri.offdiag, np.exp(lx - 0.5 * math.log(2 * params.alpha)))
 
 
 def test_sample_matrix_bit_identical():
