@@ -3,6 +3,8 @@ ratio sweeps and the Monte Carlo experiments, with stable CSV output formats.
 
 Each subcommand is one entry of the command table COMMANDS.  `main` builds the
 parser of the invoked subcommand alone, and of all of them for help or a bad name.
+Campaign flags have ExperimentConfig's field names as dest.  Precedence: a given
+flag, the --config file, ExperimentConfig's defaults; workers: flag, config, HITEMP_WORKERS, cores.
 
 All CSV output is locale-independent: '.' decimal separator, '\\n' line
 endings, 17 significant digits.  Infinite markers render as 'inf'/'-inf',
@@ -99,11 +101,9 @@ def _parse_n_list(text: str) -> list:
     return [int(n) for n in sizes]
 
 
-def _resolve_workers(flag_value, config_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
+def _resolve_workers(value) -> int:
+    if value is not None:
+        return value
     env = os.environ.get("HITEMP_WORKERS")
     if env:
         try:
@@ -119,18 +119,16 @@ def _schedule_from_args(args, config: dict) -> RegimeSchedule:
         return RegimeSchedule.from_dict(config["schedule"])
     if name is None:
         raise ValueError("a --schedule is required (invlogsq, invlog, power, const)")
-    c = args.c if args.c is not None else 1.0
     if name == "invlogsq":
-        return RegimeSchedule.inverse_log_squared(c)
+        return RegimeSchedule.inverse_log_squared(args.c)
     if name == "invlog":
-        p = args.p if args.p is not None else 1.0
-        return RegimeSchedule.inverse_log_power(c, p)
+        return RegimeSchedule.inverse_log_power(args.c, args.p)
     if name == "power":
         if args.gamma is None:
             raise ValueError("--schedule power requires --gamma")
-        return RegimeSchedule.power_decay(c, args.gamma)
+        return RegimeSchedule.power_decay(args.c, args.gamma)
     if name == "const":
-        return RegimeSchedule.constant(c)
+        return RegimeSchedule.constant(args.c)
     raise ValueError(f"unknown schedule {name!r}")
 
 
@@ -154,14 +152,13 @@ def _load_config_file(path) -> dict:
 
 
 _NUMBER = (int, float)
-# each key's JSON type; lists hold numbers, not bools. Legacy: 0.2.0's unread "m_grid", 0.3.0's "solver_tol"
+# each ExperimentConfig field's JSON type; lists hold numbers, not bools
 _CONFIG_TYPES = {"schedule": dict, "n_values": list, "replicas": _NUMBER, "x_grid": list,
-                 "t_grid": list, "master_seed": _NUMBER, "workers": _NUMBER,
-                 "plus_one_alpha": bool, "m_grid": list, "solver_tol": _NUMBER}
+                 "t_grid": list, "master_seed": _NUMBER, "workers": _NUMBER, "plus_one_alpha": bool}
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    """CLI flags override config-file values override defaults."""
+    """Given flags over config-file values over ExperimentConfig's defaults."""
     config = _load_config_file(args.config)
     unknown = sorted(set(config) - set(_CONFIG_TYPES))
     if unknown:
@@ -170,31 +167,13 @@ def _experiment_config(args) -> ExperimentConfig:
         items = value if isinstance(value, list) else ()
         if not isinstance(value, _CONFIG_TYPES[key]) or not all(type(v) in _NUMBER for v in items):
             raise ValueError(f"config key {key!r} has the wrong JSON type: {value!r}")
-    if config.get("solver_tol", ABSTOL) != ABSTOL:
-        raise ValueError(f"config key 'solver_tol' is {config['solver_tol']!r}; "
-                         f"lambda_max is solved at ABSTOL={ABSTOL!r} only")
-    schedule = _schedule_from_args(args, config)
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in config:
-            return config[key]
-        return default
-
-    n_values = pick(args.n, "n_values", None)
-    if n_values is None:
+    # args.schedule is the CLI's schedule name, not the field; 0 is a given value
+    fields = dict(config, **{key: value for key, value in vars(args).items() if key in _CONFIG_TYPES
+                             and key != "schedule" and value is not None and value is not False})
+    fields["schedule"] = _schedule_from_args(args, config)
+    if "n_values" not in fields:
         raise ValueError("--n is required")
-    return ExperimentConfig(
-        schedule=schedule,
-        n_values=tuple(n_values),
-        replicas=pick(args.replicas, "replicas", 1000),
-        x_grid=tuple(pick(getattr(args, "x", None), "x_grid", ())),
-        t_grid=tuple(pick(getattr(args, "t", None), "t_grid", ())),
-        master_seed=pick(args.seed, "master_seed", 20260101),
-        workers=_resolve_workers(args.workers, config.get("workers")),
-        plus_one_alpha=bool(pick(args.plus_one_alpha or None, "plus_one_alpha", False)),
-    )
+    return ExperimentConfig(**dict(fields, workers=_resolve_workers(fields.get("workers"))))
 
 
 def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
@@ -236,31 +215,37 @@ def _write_summary(path, checks) -> None:
         fh.write("\n")
 
 
+def _add_schedule_flags(sp, required=False):
+    sp.add_argument("--schedule", required=required, help="invlogsq | invlog | power | const")
+    sp.add_argument("--c", type=float, default=1.0, help="schedule coefficient")
+    sp.add_argument("--p", type=float, default=1.0, help="log-power exponent (invlog)")
+    sp.add_argument("--gamma", type=float, help="decay exponent (power)")
+
+
 def _add_experiment_flags(sp, grid=None, summary=True):
     """The flags of a campaign subcommand; grid names its --x or --t grid, if
     any, and summary adds --summary for a subcommand with pass/fail checks."""
-    sp.add_argument("--schedule", help="invlogsq | invlog | power | const")
-    sp.add_argument("--c", type=float, help="schedule coefficient")
-    sp.add_argument("--p", type=float, help="log-power exponent (invlog)")
-    sp.add_argument("--gamma", type=float, help="decay exponent (power)")
-    sp.add_argument("--n", type=_parse_n_list, help="comma list of ensemble sizes")
+    _add_schedule_flags(sp)
+    sp.add_argument("--n", dest="n_values", metavar="N", type=_parse_n_list,
+                    help="comma list of ensemble sizes")
     sp.add_argument("--replicas", type=int)
-    sp.add_argument("--seed", type=int, help="master seed")
+    sp.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
     sp.add_argument("--workers", type=int, help="worker processes (env HITEMP_WORKERS, then core count)")
     sp.add_argument("--plus-one-alpha", action="store_true", help="use alpha = 1 + n*beta/2")
-    sp.add_argument("--config", help="JSON config file or run manifest")
+    sp.add_argument("--config", help="JSON config file or run manifest (flags > config > defaults)")
     sp.add_argument("--out", help="CSV output path (default stdout)")
     if summary:
         sp.add_argument("--summary", help="JSON pass/fail summary path")
     sp.add_argument("--manifest", help="run-manifest JSON path")
     if grid is not None:
-        sp.add_argument(grid, type=_parse_grid, help=f"{grid[2:]} grid 'a:step:b' or comma list")
+        sp.add_argument(grid, dest=f"{grid[2:]}_grid", metavar=grid[2:].upper(), type=_parse_grid,
+                        help=f"{grid[2:]} grid 'a:step:b' or comma list")
 
 
 def _add_sample_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=20260101)
+    sp.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
     sp.add_argument("--stream", type=int, default=0, help="replica index r: row r mod B(n) of the Philox block r // B(n) keyed --seed")
     sp.add_argument("--plus-one-alpha", action="store_true")
     sp.add_argument("--out", required=True, help="dump file path")
@@ -278,10 +263,7 @@ def _add_rate_args(sp):
 
 
 def _add_partition_args(sp):
-    sp.add_argument("--schedule", required=True)
-    sp.add_argument("--c", type=float, default=1.0)
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--gamma", type=float, default=None)
+    _add_schedule_flags(sp, required=True)
     sp.add_argument("--n", type=_parse_n_list, required=True)
     sp.add_argument("--out", default=None)
 
@@ -349,7 +331,7 @@ def _cmd_campaign(args, run) -> int:
 def _cmd_check(args) -> int:
     from .acceptance import run_all
 
-    workers = _resolve_workers(args.workers, None)
+    workers = _resolve_workers(args.workers)
     if workers < 1:  # before criterion 1 runs, not at criterion 5's config
         raise ValueError(f"workers must be >= 1, got {workers}")
     results = run_all(workers, quick=args.quick, log=print)

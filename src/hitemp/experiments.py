@@ -51,11 +51,11 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Immutable description of one Monte Carlo campaign."""
+    """One Monte Carlo campaign; its fields and defaults are the CLI's config keys and defaults."""
 
     schedule: RegimeSchedule
     n_values: tuple
-    replicas: int
+    replicas: int = 1000
     x_grid: tuple = ()
     t_grid: tuple = ()
     master_seed: int = 20260101

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -156,32 +157,19 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert run_cli("sweep", "--config", str(manifest), "--workers", "1",
                    "--out", str(out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    # manifests written by 0.2.0 carry an "m_grid" that no campaign reads
-    meta["config"]["m_grid"] = []
-    old_manifest = tmp_path / "run_0.2.0.json"
-    old_manifest.write_text(json.dumps(meta))
-    out3 = tmp_path / "s3.csv"
-    assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
-                   "--out", str(out3)) == 0
-    assert out1.read_bytes() == out3.read_bytes()
-    # manifests written by 0.3.0 carry the "solver_tol" that ABSTOL replaced;
-    # one replays only at that value, not silently at another tolerance
-    del meta["config"]["m_grid"]
-    meta["config"]["solver_tol"] = 1e-12
-    old_manifest.write_text(json.dumps(meta))
-    out4, out5 = tmp_path / "s4.csv", tmp_path / "s5.csv"
-    assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
-                   "--out", str(out4)) == 0
-    assert out1.read_bytes() == out4.read_bytes()
-    meta["config"]["solver_tol"] = 1e-3
-    old_manifest.write_text(json.dumps(meta))
-    assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
-                   "--out", str(out5)) == 2
-    assert "'solver_tol' is 0.001" in capsys.readouterr().err
-    assert not out5.exists()
+    # 0.2.0's "m_grid" and 0.3.0's "solver_tol" are no config keys: the manifests
+    # that wrote them are refused for their stream contract, and a config block
+    # copied out of one would replay under other streams
+    old_manifest, out5 = tmp_path / "run_0.3.0.json", tmp_path / "s5.csv"
+    config = tmp_path / "cfg.json"
+    for key, value in (("m_grid", []), ("solver_tol", 1e-12)):
+        config.write_text(json.dumps(dict(meta["config"], **{key: value})))
+        assert run_cli("sweep", "--config", str(config), "--workers", "1",
+                       "--out", str(out5)) == 2
+        assert f"unknown config key(s) {key!r}" in capsys.readouterr().err
+        assert not out5.exists()
     # a manifest of another stream contract, or one that records none, would
     # replay its config into other matrices: refused, naming both contracts
-    del meta["config"]["solver_tol"]
     for contract in (V030_STREAM_CONTRACT, None):
         meta["stream_contract"] = contract
         if contract is None:
@@ -193,7 +181,6 @@ def test_manifest_round_trip(tmp_path, capsys):
         assert repr(contract) in err and repr(experiments.STREAM_CONTRACT) in err
         assert not out5.exists()
     # a hand-written config carries no contract and loads as before
-    config = tmp_path / "cfg.json"
     config.write_text(json.dumps(meta["config"]))
     assert run_cli("sweep", "--config", str(config), "--workers", "1",
                    "--out", str(out5)) == 0
@@ -216,6 +203,55 @@ def test_flag_overrides_config(tmp_path):
                    "--workers", "1", "--out", str(direct)) == 0
     assert override.read_bytes() == direct.read_bytes()
     assert override.read_bytes() != base.read_bytes()
+
+
+def _campaign_actions(command):
+    parser = cli._build_parser(command)
+    return parser._subparsers._group_actions[0].choices[command]._actions
+
+
+@pytest.mark.parametrize("command", ["sweep", "tail", "esd"])
+def test_campaign_flags_and_config_keys_are_the_config_fields(command):
+    # one statement of a campaign's inputs: a field added on one side only fails here
+    fields = {f.name for f in dataclasses.fields(experiments.ExperimentConfig)}
+    assert set(cli._CONFIG_TYPES) == fields
+    cli_only = {"help", "config", "out", "summary", "manifest", "schedule", "c", "p", "gamma"}
+    dests = {action.dest for action in _campaign_actions(command)}
+    assert dests - cli_only <= fields
+    assert {"n_values", "replicas", "master_seed", "workers", "plus_one_alpha"} <= dests
+
+
+def test_zero_and_false_flags_are_given_values(tmp_path, capsys):
+    # a merge that kept only truthy flags would run --seed 0 at the config's
+    # seed and --workers 0 on the config's two workers
+    config = tmp_path / "cfg.json"
+    schedule = {"name": "const0.1", "kind": "constant", "c": 0.1, "exponent": 0.0}
+    config.write_text(json.dumps({"schedule": schedule, "n_values": [60], "replicas": 40,
+                                  "master_seed": 111, "workers": 2}))
+    over, direct, out = (tmp_path / f"{k}.csv" for k in ("over", "direct", "out"))
+    assert run_cli("sweep", "--config", str(config), "--x", "2.3", "--seed", "0",
+                   "--workers", "1", "--out", str(over)) == 0
+    assert run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "60", "--replicas", "40",
+                   "--x", "2.3", "--seed", "0", "--workers", "1", "--out", str(direct)) == 0
+    assert over.read_bytes() == direct.read_bytes()
+    assert run_cli("sweep", "--config", str(config), "--x", "2.3", "--workers", "0",
+                   "--out", str(out)) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+    # an absent store_true flag leaves the config's true in place
+    config.write_text(json.dumps({"schedule": schedule, "n_values": [60], "plus_one_alpha": True}))
+    cfg = cli._experiment_config(cli._build_parser().parse_args(["tail", "--config", str(config)]))
+    assert cfg.plus_one_alpha is True
+
+
+@pytest.mark.parametrize("command, shown", [
+    ("sweep", ["[--n N]", "[--seed SEED]", "[--x X]"]), ("tail", ["[--n N]", "[--seed SEED]", "[--t T]"])])
+def test_campaign_usage_names_the_flags_not_the_fields(capsys, command, shown):
+    with pytest.raises(SystemExit):
+        run_cli(command, "--help")
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert all(flag in usage for flag in shown)
+    assert not any(field in usage.upper() for field in ("N_VALUES", "MASTER_SEED", "_GRID"))
 
 
 def test_tail_subcommand_with_summary(tmp_path):
