@@ -48,14 +48,14 @@ def semicircle_cdf_antiderivative(x):
 def log_potential_semicircle(x: float) -> float:
     """Integral of log|x - y| against the semicircle law, in closed form.
 
-    x^2/4 - 1/2 inside [-2, 2]; outside, the same minus
-    |x|*sqrt(x^2-4)/4 - log((|x| + sqrt(x^2-4))/2).
+    x^2/4 - 1/2 inside [-2, 2]; outside, u + e^(-2u)/2 with u = acosh(|x|/2),
+    a sum of positive terms, so that no digits cancel at large |x|.
     """
     ax = abs(float(x))
     if ax <= 2.0:
         return ax * ax / 4.0 - 0.5
-    root = math.sqrt(ax * ax - 4.0)
-    return ax * ax / 4.0 - 0.5 - (ax * root / 4.0 - math.log((ax + root) / 2.0))
+    u = math.acosh(ax / 2.0)
+    return u + math.exp(-2.0 * u) / 2.0
 
 
 def log_potential_semicircle_quad(x: float) -> float:
@@ -84,18 +84,26 @@ def _atoms_of(mu) -> np.ndarray:
     return np.asarray(atoms, dtype=float)
 
 
-def rate_J(x: float) -> float:
-    """Large-deviation rate of the largest particle at speed n*beta.
+_EDGE_SERIES = [math.comb(2 * k, k) * (-1) ** (k + 1) / ((2 * k - 1) * 16.0 ** k) * 3 / (2 * k + 3)
+                for k in range(13, -1, -1)]  # d_13..d_0 of rate_J's series, enough for t < 1/4
 
-    +inf below 2; for x >= 2 the closed form
-    x*sqrt(x^2-4)/4 - log((x + sqrt(x^2-4))/2), which is exactly -phi - 1/2
-    for the field phi = log_potential_semicircle(x) - x^2/4 that
-    evaluate_rate reports, and vanishes at the edge x = 2.
-    """
+
+def rate_J(x: float) -> float:
+    """Large-deviation rate of the largest particle at speed n*beta: +inf below
+    2, x*sqrt(x^2-4)/4 - log((x + sqrt(x^2-4))/2) = -phi - 1/2 above, for phi =
+    log_potential_semicircle(x) - x^2/4.  For t = x - 2 < 1/4, where that form
+    cancels, the integral of sqrt(y (4 + y))/2 over [0, t] term by term:
+    (2/3) t^(3/2) sum_k d_k t^k, d_k = binom(1/2, k) 4^-k 3/(2k+3), which is
+    exactly 0 at the edge.  +inf once x^2/4 overflows."""
     x = float(x)
     if x < 2.0:
         return math.inf
+    t = x - 2.0
+    if t < 0.25:
+        return t * math.sqrt(t) * float(np.polyval(_EDGE_SERIES, t)) / 1.5
     root = math.sqrt(x * x - 4.0)
+    if root == math.inf:  # x^2 overflowed; J = x^2/4 - log(x) - 1/2 - O(x^-2) rounds to x^2/4
+        return x * (x / 4.0)
     return x * root / 4.0 - math.log((x + root) / 2.0)
 
 
@@ -121,8 +129,9 @@ def evaluate_rate(x: float, method: str = "closed_form") -> RateEvaluation:
     """Bundle (x, J(x), phi(x, sigma)) with provenance."""
     x = float(x)
     if method == "closed_form":
-        phi_val = log_potential_semicircle(x) - x * x / 4.0
-        j = rate_J(x)  # algebraically simplified branch, exact at x = 2
+        j = rate_J(x)  # exactly 0 at x = 2
+        # phi = -J(|x|) - 1/2, which loses no digits to log_potential - x^2/4
+        phi_val = -0.5 - (rate_J(abs(x)) if abs(x) > 2.0 else 0.0)
     elif method == "quadrature":
         phi_val = log_potential_semicircle_quad(x) - x * x / 4.0
         j = math.inf if x < 2.0 else -phi_val - 0.5

@@ -113,23 +113,25 @@ def _resolve_workers(value) -> int:
     return os.cpu_count() or 1
 
 
+# each --schedule name: its RegimeSchedule kind and exponent, or the flag that holds it
+_SCHEDULES = {"invlogsq": ("inverse_log_power", 2.0), "invlog": ("inverse_log_power", "p"),
+              "power": ("power_decay", "gamma"), "const": ("constant", 0.0)}
+
+
 def _schedule_from_args(args, config: dict) -> RegimeSchedule:
     name = args.schedule
     if name is None and "schedule" in config:
         return RegimeSchedule.from_dict(config["schedule"])
     if name is None:
-        raise ValueError("a --schedule is required (invlogsq, invlog, power, const)")
-    if name == "invlogsq":
-        return RegimeSchedule.inverse_log_squared(args.c)
-    if name == "invlog":
-        return RegimeSchedule.inverse_log_power(args.c, args.p)
-    if name == "power":
-        if args.gamma is None:
-            raise ValueError("--schedule power requires --gamma")
-        return RegimeSchedule.power_decay(args.c, args.gamma)
-    if name == "const":
-        return RegimeSchedule.constant(args.c)
-    raise ValueError(f"unknown schedule {name!r}")
+        raise ValueError(f"a --schedule is required ({', '.join(_SCHEDULES)})")
+    if name not in _SCHEDULES:
+        raise ValueError(f"unknown schedule {name!r}")
+    kind, exponent = _SCHEDULES[name]
+    if isinstance(exponent, str):
+        flag, exponent = exponent, getattr(args, exponent)
+        if exponent is None:
+            raise ValueError(f"--schedule {name} requires --{flag}")
+    return RegimeSchedule(kind, args.c, exponent)
 
 
 def _load_config_file(path) -> dict:
@@ -216,7 +218,7 @@ def _write_summary(path, checks) -> None:
 
 
 def _add_schedule_flags(sp, required=False):
-    sp.add_argument("--schedule", required=required, help="invlogsq | invlog | power | const")
+    sp.add_argument("--schedule", required=required, help=" | ".join(_SCHEDULES))
     sp.add_argument("--c", type=float, default=1.0, help="schedule coefficient")
     sp.add_argument("--p", type=float, default=1.0, help="log-power exponent (invlog)")
     sp.add_argument("--gamma", type=float, help="decay exponent (power)")

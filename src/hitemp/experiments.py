@@ -66,8 +66,10 @@ class ExperimentConfig:
         object.__setattr__(self, "n_values", tuple(_integer("n_values", n) for n in self.n_values))
         for name in ("replicas", "master_seed", "workers"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        object.__setattr__(self, "x_grid", tuple(float(x) for x in self.x_grid))
-        object.__setattr__(self, "t_grid", tuple(float(t) for t in self.t_grid))
+        for name in ("x_grid", "t_grid"):  # json reads 1e999 as inf
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+            if not all(map(math.isfinite, getattr(self, name))):
+                raise ValueError(f"{name} values must be finite, got {getattr(self, name)!r}")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
         if self.workers < 1:

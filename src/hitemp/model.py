@@ -29,10 +29,6 @@ class EnsembleParams:
         if not (self.alpha > 0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be a positive finite real, got {self.alpha!r}")
 
-    @property
-    def n_beta(self) -> float:
-        return self.n * self.beta
-
 
 def make_params(n: int, beta: float, plus_one_alpha: bool = False) -> EnsembleParams:
     """Build ensemble parameters with the canonical scale alpha = n*beta/2.
@@ -77,27 +73,23 @@ def regime_report(params: EnsembleParams) -> RegimeReport:
 
 @dataclass(frozen=True)
 class RegimeSchedule:
-    """A named rule n -> beta(n).
+    """A rule n -> beta(n) with coefficient c > 0 (the CLI's --c), by kind:
+    "inverse_log_power" c/(log n)^p, exponent p >= 1 (--schedule invlogsq is
+    p = 2, invlog takes --p); "power_decay" c*n^(-gamma), exponent
+    0 < gamma < 1 (power, --gamma); "constant" c, exponent 0 (const)."""
 
-    Supported forms: c/(log n)^p with p >= 1, c*n^(-gamma) with 0 < gamma < 1,
-    and the constant schedule.
-    """
-
-    name: str
-    kind: str  # "inverse_log_power" | "power_decay" | "constant"
+    kind: str
     c: float
     exponent: float = 0.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"schedule coefficient must be positive, got {self.c!r}")
-        if self.kind == "inverse_log_power":
-            if self.exponent < 1:
-                raise ValueError("inverse_log_power requires exponent p >= 1")
-        elif self.kind == "power_decay":
-            if not (0 < self.exponent < 1):
-                raise ValueError("power_decay requires 0 < gamma < 1")
-        elif self.kind != "constant":
+        if not (self.c > 0 and math.isfinite(self.c) and math.isfinite(self.exponent)):
+            raise ValueError(f"schedule needs a finite coefficient c > 0 and a finite exponent, got {self!r}")
+        if self.kind == "inverse_log_power" and self.exponent < 1:
+            raise ValueError("inverse_log_power requires exponent p >= 1")
+        if self.kind == "power_decay" and not 0 < self.exponent < 1:
+            raise ValueError("power_decay requires 0 < gamma < 1")
+        if self.kind not in ("inverse_log_power", "power_decay", "constant"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
 
     def beta(self, n: int) -> float:
@@ -109,30 +101,16 @@ class RegimeSchedule:
             return self.c * float(n) ** (-self.exponent)
         return self.c
 
-    # common constructions
-    @staticmethod
-    def inverse_log_power(c: float, p: float) -> "RegimeSchedule":
-        return RegimeSchedule(f"invlog{p:g}", "inverse_log_power", c, p)
-
-    @staticmethod
-    def inverse_log_squared(c: float = 1.0) -> "RegimeSchedule":
-        return RegimeSchedule("invlogsq", "inverse_log_power", c, 2.0)
-
-    @staticmethod
-    def power_decay(c: float, gamma: float) -> "RegimeSchedule":
-        return RegimeSchedule(f"pow{gamma:g}", "power_decay", c, gamma)
-
     @staticmethod
     def constant(c: float) -> "RegimeSchedule":
-        return RegimeSchedule(f"const{c:g}", "constant", c)
+        return RegimeSchedule("constant", c)
 
     @staticmethod
     def from_dict(d: dict) -> "RegimeSchedule":
-        missing = [key for key in ("name", "kind", "c") if key not in d]
+        """Reads kind, c and exponent; other keys (a 0.4.0 manifest's name) are ignored."""
+        missing = [key for key in ("kind", "c") if key not in d]
         if missing:
             raise ValueError(f"schedule lacks key(s) {', '.join(map(repr, missing))}")
-        if not isinstance(d["name"], str):
-            raise ValueError(f"schedule 'name' must be a string, got {d['name']!r}")
         if not all(type(d.get(key, 0.0)) in (int, float) for key in ("c", "exponent")):  # not bool
             raise ValueError(f"schedule 'c' and 'exponent' must be numbers, got {d!r}")
-        return RegimeSchedule(d["name"], d["kind"], float(d["c"]), float(d.get("exponent", 0.0)))
+        return RegimeSchedule(d["kind"], float(d["c"]), float(d.get("exponent", 0.0)))

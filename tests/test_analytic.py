@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -82,6 +83,37 @@ def test_rate_j_at_three():
     # closed form 3*sqrt(5)/4 - log((3+sqrt(5))/2) = 0.71462733300563538...
     assert rate_J(3.0) == pytest.approx(0.7146273330056354, rel=1e-14)
     assert abs(rate_J(3.0) - rate_J_quad(3.0)) <= 1e-8
+
+
+def _mp_rate_and_potential(x):
+    """J(x) = (sinh 2u - 2u)/2 and the log potential u + e^(-2u)/2 outside
+    [-2, 2], u = acosh(|x|/2), at 50 digits."""
+    with mpmath.workdps(50):
+        u = mpmath.acosh(abs(mpmath.mpf(x)) / 2)
+        return float((mpmath.sinh(2 * u) - 2 * u) / 2), float(u + mpmath.exp(-2 * u) / 2)
+
+
+def test_rate_j_against_mpmath_from_the_edge_to_1e150():
+    # x*sqrt(x^2-4)/4 - log(...) cancelled as x -> 2: relative error 4.9e-2 at
+    # 2 + 1e-10, and 79 times too large at 2 + 1e-12
+    xs = [2.0 + d for d in np.logspace(-14, 0, 120)] + list(np.logspace(0.31, 150, 120))
+    for x in xs + [2.05, 2.15, 2.25, 2.3, 2.5, 3.0]:
+        want = _mp_rate_and_potential(x)[0]
+        assert abs(rate_J(x) - want) <= 1e-14 * want, x
+
+
+def test_rate_j_overflows_to_inf_not_nan():
+    # x*x overflowed, and inf - log(inf) gave nan
+    assert rate_J(2.6e154) == pytest.approx(1.69e308, rel=1e-15)  # x^2 overflows, J does not
+    assert rate_J(2.7e154) == rate_J(1e200) == rate_J(1.7e308) == math.inf
+    assert evaluate_rate(1e200).phi == evaluate_rate(-1e200).phi == -math.inf
+
+
+def test_log_potential_against_mpmath_up_to_1e300():
+    # x^2/4 - 1/2 - J cancelled for large |x|: 0.0 at 1e10, where it is 23.03
+    for x in np.concatenate([np.logspace(0.31, 300, 200), -np.logspace(0.31, 300, 50)]):
+        want = _mp_rate_and_potential(x)[1]
+        assert abs(log_potential_semicircle(x) - want) <= 1e-15 * want, x
 
 
 def test_rate_j_strictly_increasing_and_nonnegative():

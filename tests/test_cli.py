@@ -12,6 +12,7 @@ import pytest
 
 from hitemp import cli, eig, experiments
 from hitemp.cli import main
+from hitemp.model import RegimeSchedule
 from hitemp.sampler import load_matrix
 
 
@@ -190,7 +191,7 @@ def test_manifest_round_trip(tmp_path, capsys):
 def test_flag_overrides_config(tmp_path):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({
-        "schedule": {"name": "const0.1", "kind": "constant", "c": 0.1, "exponent": 0.0},
+        "schedule": {"kind": "constant", "c": 0.1, "exponent": 0.0},
         "n_values": [60], "replicas": 40, "master_seed": 111,
     }))
     base, override, direct = (tmp_path / f"{k}.csv" for k in ("base", "override", "direct"))
@@ -225,7 +226,7 @@ def test_zero_and_false_flags_are_given_values(tmp_path, capsys):
     # a merge that kept only truthy flags would run --seed 0 at the config's
     # seed and --workers 0 on the config's two workers
     config = tmp_path / "cfg.json"
-    schedule = {"name": "const0.1", "kind": "constant", "c": 0.1, "exponent": 0.0}
+    schedule = {"kind": "constant", "c": 0.1, "exponent": 0.0}
     config.write_text(json.dumps({"schedule": schedule, "n_values": [60], "replicas": 40,
                                   "master_seed": 111, "workers": 2}))
     over, direct, out = (tmp_path / f"{k}.csv" for k in ("over", "direct", "out"))
@@ -510,7 +511,7 @@ def test_config_values_of_the_wrong_json_type_are_usage_errors(tmp_path, capsys,
                if value in ([math.nan], [math.inf])
                else f"config key {key!r} has the wrong JSON type: {value!r}")
     config, out = tmp_path / "cfg.json", tmp_path / "sweep.csv"
-    config.write_text(json.dumps({"schedule": {"name": "c", "kind": "constant", "c": 0.2},
+    config.write_text(json.dumps({"schedule": {"kind": "constant", "c": 0.2},
                                   "n_values": [30], key: value}))
     assert run_cli("sweep", "--config", str(config), "--replicas", "5", "--x", "2.3",
                    "--workers", "1", "--out", str(out)) == 2
@@ -518,19 +519,55 @@ def test_config_values_of_the_wrong_json_type_are_usage_errors(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_config_schedule_name_must_be_a_string(tmp_path, capsys):
-    # "name": [1] ran to exit 0 and wrote the list into the manifest
-    config, out = tmp_path / "cfg.json", tmp_path / "tail.csv"
-    config.write_text(json.dumps({"schedule": {"name": [1], "kind": "constant", "c": 0.2}, "n_values": [20]}))
-    assert run_cli("tail", "--config", str(config), "--replicas", "5", "--t", "2.5", "--workers", "1",
-                   "--out", str(out), "--manifest", str(tmp_path / "m.json")) == 2
-    assert "schedule 'name' must be a string, got [1]" in capsys.readouterr().err
-    assert not out.exists() and not (tmp_path / "m.json").exists()
+def test_a_0_4_0_schedule_name_replays_byte_identically(tmp_path):
+    # 0.4.0 manifests record a "name" in the schedule block; it is read past
+    direct, replay, manifest = tmp_path / "direct.csv", tmp_path / "replay.csv", tmp_path / "run.json"
+    assert run_cli("sweep", "--schedule", "invlogsq", "--c", "0.5", "--n", "40,80", "--replicas", "30",
+                   "--x", "2.3", "--seed", "5", "--workers", "1", "--out", str(direct),
+                   "--manifest", str(manifest)) == 0
+    meta = json.loads(manifest.read_text())
+    assert meta["config"]["schedule"] == {"c": 0.5, "exponent": 2.0, "kind": "inverse_log_power"}
+    meta["config"]["schedule"]["name"] = "invlogsq"
+    manifest.write_text(json.dumps(meta))
+    assert run_cli("sweep", "--config", str(manifest), "--workers", "1", "--out", str(replay)) == 0
+    assert replay.read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize("name", list(cli._SCHEDULES))
+def test_every_schedule_name_round_trips_through_its_dict(name):
+    args = cli._build_parser().parse_args(["partition", "--schedule", name, "--c", "0.3", "--p", "1.5",
+                                           "--gamma", "0.4", "--n", "10"])
+    sched = cli._schedule_from_args(args, {})
+    assert sched.kind == cli._SCHEDULES[name][0]
+    assert RegimeSchedule.from_dict(dataclasses.asdict(sched)) == sched
+
+
+@pytest.mark.parametrize("bad", [["--c", "nan"], ["--c", "inf"], ["--schedule", "invlog", "--p", "nan"]],
+                         ids=" ".join)
+def test_partition_refuses_non_finite_schedules(tmp_path, capsys, bad):
+    # each wrote nan rows and exited 0: partition builds no EnsembleParams
+    out = tmp_path / "part.csv"
+    assert run_cli("partition", "--schedule", "const", "--n", "100,1000", *bad, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert "schedule needs a finite coefficient c > 0 and a finite exponent" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, key", [("sweep", "x_grid"), ("tail", "t_grid")])
+def test_config_grids_must_be_finite(tmp_path, capsys, command, key):
+    # json reads 1e999 as inf: sweep wrote an x=inf row, tail a t=inf row, both exit 0
+    config, out, manifest = tmp_path / "cfg.json", tmp_path / "out.csv", tmp_path / "run.json"
+    config.write_text('{"n_values": [30], "replicas": 5, "%s": [2.5, 1e999]}' % key)
+    assert run_cli(command, "--config", str(config), "--schedule", "const", "--c", "0.2",
+                   "--workers", "1", "--out", str(out), "--manifest", str(manifest)) == 2
+    assert f"{key} values must be finite, got (2.5, inf)" in capsys.readouterr().err
+    assert not out.exists() and not manifest.exists()
 
 
 def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"schedule": {"name": "c", "c": 0.1}, "n_values": [60]}))
+    config.write_text(json.dumps({"schedule": {"c": 0.1}, "n_values": [60]}))
     assert run_cli("sweep", "--config", str(config), "--x", "2.3") == 2
     assert "schedule lacks key(s) 'kind'" in capsys.readouterr().err
 
@@ -614,6 +651,13 @@ def test_inf_and_nan_markers_render(tmp_path):
     _, rows = read_csv(out)
     assert rows[0][5] == "inf"   # j_hat marker at p_hat = 0
     assert rows[0][7] == "nan"   # rel_err marker
+
+
+def test_rate_rows_past_overflow_are_inf_not_nan(tmp_path):
+    # x*x overflowed at 1e200 and the row read nan,nan
+    out = tmp_path / "rate.csv"
+    assert run_cli("rate", "--x", "1e200,-1e200", "--out", str(out)) == 0
+    assert [row[1:] for row in read_csv(out)[1]] == [["inf", "-inf"]] * 2
 
 
 def test_seventeen_digit_round_trip(tmp_path):

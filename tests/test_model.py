@@ -57,7 +57,7 @@ def test_regime_report_boundary_small_n():
 
 
 def test_inverse_log_squared_schedule_monotonicity():
-    sched = RegimeSchedule.inverse_log_squared(c=1.0)
+    sched = RegimeSchedule("inverse_log_power", 1.0, 2.0)
     ns = [10**k for k in range(3, 10)]
     beta_log_n = [sched.beta(n) * math.log(n) for n in ns]
     log_over_nbeta = [math.log(n) / (n * sched.beta(n)) for n in ns]
@@ -66,9 +66,9 @@ def test_inverse_log_squared_schedule_monotonicity():
 
 
 @pytest.mark.parametrize("sched", [
-    RegimeSchedule.inverse_log_squared(0.5),
-    RegimeSchedule.inverse_log_power(2.0, 1.0),
-    RegimeSchedule.power_decay(1.0, 0.5),
+    RegimeSchedule("inverse_log_power", 0.5, 2.0),
+    RegimeSchedule("inverse_log_power", 2.0, 1.0),
+    RegimeSchedule("power_decay", 1.0, 0.5),
     RegimeSchedule.constant(0.1),
 ])
 def test_schedules_positive(sched):
@@ -78,15 +78,23 @@ def test_schedules_positive(sched):
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        RegimeSchedule("bad", "inverse_log_power", 1.0, 0.5)  # p < 1
+        RegimeSchedule("inverse_log_power", 1.0, 0.5)  # p < 1
     with pytest.raises(ValueError):
-        RegimeSchedule("bad", "power_decay", 1.0, 1.5)  # gamma >= 1
+        RegimeSchedule("power_decay", 1.0, 1.5)  # gamma >= 1
     with pytest.raises(ValueError):
-        RegimeSchedule("bad", "constant", -0.1)
+        RegimeSchedule("constant", -0.1)
     with pytest.raises(ValueError):
-        RegimeSchedule("bad", "nope", 1.0)
+        RegimeSchedule("nope", 1.0)
+    # a nan or inf passed c <= 0 and p < 1, and `partition` wrote nan rows from it
+    for c, exponent in [(math.nan, 2.0), (math.inf, 2.0), (1.0, math.nan), (1.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            RegimeSchedule("inverse_log_power", c, exponent)
 
 
 def test_schedule_dict_round_trip():
-    sched = RegimeSchedule.power_decay(0.7, 0.3)
+    sched = RegimeSchedule("power_decay", 0.7, 0.3)
+    assert dataclasses.asdict(sched) == {"kind": "power_decay", "c": 0.7, "exponent": 0.3}
     assert RegimeSchedule.from_dict(dataclasses.asdict(sched)) == sched
+    # the name that 0.4.0 manifests record is read past, like any other key
+    assert RegimeSchedule.from_dict({"name": "pow0.3", "kind": "power_decay", "c": 0.7,
+                                     "exponent": 0.3}) == sched
