@@ -94,8 +94,11 @@ def _parse_grid(text: str) -> list:
 
 
 def _parse_n_list(text: str) -> list:
-    """Comma-separated integral sizes; '1e3' is 1000, '200.7' an error."""
-    sizes = [float(p) for p in text.split(",") if p]
+    """Comma-separated integral sizes; '1e3' is 1000, '200.7' and 'abc' errors."""
+    try:
+        sizes = [float(p) for p in text.split(",") if p]
+    except ValueError:  # 'abc' is not an integer either
+        sizes = [math.nan]
     if not all(n.is_integer() for n in sizes):
         raise argparse.ArgumentTypeError(f"sizes must be integers, got {text!r}")
     return [int(n) for n in sizes]
@@ -200,21 +203,17 @@ def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
         "outputs": files,
         "sha256": {o: hashlib.sha256(pathlib.Path(o).read_bytes()).hexdigest() for o in files},
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, manifest)
 
 
 def _write_summary(path, checks) -> None:
-    if path is None:
-        return
-    payload = {
-        "passed": all(c.passed for c in checks),
-        "checks": [c._asdict() for c in checks],
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    if path is not None:
+        _write_json(path, {"passed": all(c.passed for c in checks), "checks": [c._asdict() for c in checks]})
+
+
+def _write_json(path, payload) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pathlib.Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
 def _add_schedule_flags(sp, required=False):
@@ -362,6 +361,9 @@ COMMANDS = {cmd.name: cmd for cmd in (
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse would take a grid '-3:0.5:3' for an option
+        if argv[i - 1] in ("--x", "--t") and argv[i][:1] == "-" and argv[i][1:].lstrip(".")[:1].isdigit():
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return COMMANDS[args.command].handler(args)

@@ -6,9 +6,9 @@ per-replica largest eigenvalues behind the concentration at 2.
 Replica r of a cell is row r mod B(n) of the cell's Philox block r // B(n)
 (sampler.sample_rows), chunks are a fixed function of (replicas, n), and the
 solver treats each matrix of a batch on its own, so outputs are byte-identical
-for any worker count.  Several workers are forked children, one set per
-campaign, filling one shared buffer.  The fields of TailRow, TailboundRow and
-EsdRow are the CLI's CSV columns.
+for any worker count.  Several workers are W forked children, one set per
+campaign, filling one shared buffer: child k runs chunks k, k + W, ...  The
+fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -159,46 +159,33 @@ def _task_measure_stats(task):
     return out
 
 
-# the shape of one replica's row in each task's output
-_ROW_SHAPE = {_task_lambda_max: lambda cfg: (), _task_moments: lambda cfg: (2,),
-              _task_abs_tail: lambda cfg: (len(cfg.t_grid),), _task_measure_stats: lambda cfg: (4,)}
-
-
-def _gather(fn, cfg: ExperimentConfig, n_values) -> list:
-    """fn over the replica chunks of each n in n_values: one array per n, rows
-    in replica order.  Several workers are forked children filling one shared buffer."""
+def _gather(fn, cfg: ExperimentConfig, n_values, row_shape=()) -> list:
+    """fn over the replica chunks of each n in n_values: one array per n, rows of
+    shape row_shape in replica order.  W = min(workers, chunks) forked children
+    fill one shared buffer; child k runs chunks k, k + W, ... of all cells in turn."""
     cells = [[(cfg, n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
     if cfg.workers <= 1 or max(map(len, cells)) <= 1:
         return [np.concatenate([fn(t) for t in tasks]) for tasks in cells]
     import mmap  # the one-worker path needs no shared buffer
     list(map(cfg.params_for, n_values))  # a bad size or schedule raises here, not in a child
     tasks = [(i, t) for i, cell in enumerate(cells) for t in cell]
-    shape = (len(cells), cfg.replicas, *_ROW_SHAPE[fn](cfg))
+    shape = (len(cells), cfg.replicas, *row_shape)
     rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
-    r, w = os.pipe()
-    pids = []
+    w, pids = min(cfg.workers, len(tasks)), []
     try:
-        for _ in range(min(cfg.workers, len(tasks))):
-            pids.append(os.fork() or _work(fn, tasks, rows, r, w))  # a child never returns
-        os.close(r)
-        for k in range(len(tasks)):  # after forking: a full pipe blocks until a child reads
-            os.write(w, k.to_bytes(4, "little"))
-    except BrokenPipeError:
-        pass  # every child has died; their statuses say so
+        for k in range(w):
+            pids.append(os.fork() or _work(fn, tasks[k::w], rows))  # a child never returns
     finally:
-        os.close(w)
         failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
     if failed:
         raise RuntimeError(f"{failed} of {len(pids)} campaign workers failed; see their tracebacks")
     return list(rows)
 
 
-def _work(fn, tasks, rows, r, w):
-    """A forked child: runs the tasks whose indices it reads from r; leaves only by os._exit."""
+def _work(fn, tasks, rows):
+    """A forked child: runs its share of the tasks; leaves only by os._exit."""
     try:
-        os.close(w)
-        while index := os.read(r, 4):
-            i, task = tasks[int.from_bytes(index, "little")]
+        for i, task in tasks:
             rows[i, task[2]:task[2] + task[3]] = fn(task)
         os._exit(0)
     except BaseException:
@@ -239,7 +226,7 @@ def run_moment_check(cfg: ExperimentConfig) -> Report:
     expectations are (1 + beta*(n-1)/2)/alpha and 0.
     """
     rows, checks = [], []
-    for n, cell in zip(cfg.n_values, _gather(_task_moments, cfg, cfg.n_values)):
+    for n, cell in zip(cfg.n_values, _gather(_task_moments, cfg, cfg.n_values, (2,))):
         params = cfg.params_for(n)
         second = (1.0 + params.beta * (n - 1) / 2.0) / params.alpha
         for moment, vals, exact, name in ((2, cell[:, 0], second, "second"), (1, cell[:, 1], 0.0, "first")):
@@ -310,7 +297,7 @@ def run_tailbound_check(cfg: ExperimentConfig) -> Report:
     if not all(t > 0.0 for t in cfg.t_grid):
         raise ValueError("t_grid values must be positive")
     rows, checks = [], []
-    for n, fracs in zip(cfg.n_values, _gather(_task_abs_tail, cfg, cfg.n_values)):
+    for n, fracs in zip(cfg.n_values, _gather(_task_abs_tail, cfg, cfg.n_values, (len(cfg.t_grid),))):
         params = cfg.params_for(n)
         for j, t in enumerate(cfg.t_grid):
             col = fracs[:, j]
@@ -337,7 +324,7 @@ class EsdRow(NamedTuple):
 def run_esd_check(cfg: ExperimentConfig) -> Report:
     """Empirical-spectral-measure convergence diagnostics along the schedule."""
     rows = []
-    for n, stats in zip(cfg.n_values, _gather(_task_measure_stats, cfg, cfg.n_values)):
+    for n, stats in zip(cfg.n_values, _gather(_task_measure_stats, cfg, cfg.n_values, (4,))):
         params = cfg.params_for(n)
         rows.append(EsdRow(
             n, params.beta,

@@ -345,6 +345,45 @@ def test_oversized_grids_are_usage_errors(tmp_path, capsys, grid, fault):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid, rows", [("-3:0.5:3", 13), ("-3,-2.1", 2), ("-.5,1", 2)])
+def test_rate_takes_a_grid_that_starts_with_a_minus_sign(tmp_path, grid, rows):
+    # argparse took these for options: "argument --x: expected one argument"
+    out = tmp_path / "rate.csv"
+    assert run_cli("rate", "--x", grid, "--out", str(out)) == 0
+    assert len(read_csv(out)[1]) == rows
+
+
+@pytest.mark.parametrize("command, flag, fault", [
+    ("sweep", "--x", "x_grid values must exceed the bulk edge 2"),
+    ("tail", "--t", "t_grid values must be positive")])
+def test_campaigns_take_a_grid_that_starts_with_a_minus_sign(tmp_path, capsys, command, flag, fault):
+    # the grid reaches the campaign, whose own check refuses it
+    out = tmp_path / "out.csv"
+    assert run_cli(command, flag, "-3:1:3", "--schedule", "const", "--c", "0.1", "--n", "30",
+                   "--replicas", "4", "--workers", "1", "--out", str(out)) == 2
+    assert f"hitemp: error: {fault}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_flag_after_a_grid_flag_is_still_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("rate", "--x", "--out", str(tmp_path / "f"))
+    assert exc.value.code == 2
+    assert "argument --x: expected one argument" in capsys.readouterr().err
+    assert not (tmp_path / "f").exists()
+
+
+@pytest.mark.parametrize("command, sizes", [("sweep", "abc"), ("partition", "1e3x")])
+def test_sizes_that_are_not_numbers_are_usage_errors(capsys, command, sizes):
+    # float(p) raised a ValueError, which argparse reported as "invalid _parse_n_list value"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--schedule", "const", "--n", sizes)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --n: sizes must be integers, got {sizes!r}" in err
+    assert "_parse_n_list" not in err
+
+
 def test_sweep_takes_no_summary(tmp_path, capsys):
     # sweep has no pass/fail checks: its --summary was accepted and wrote nothing
     summary = tmp_path / "s.json"

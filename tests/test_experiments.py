@@ -187,6 +187,44 @@ def test_a_failing_worker_fails_the_campaign(tmp_path, monkeypatch, capfd):
     assert not out.exists()
 
 
+def _pid_rows(task):
+    return np.full(task[3], os.getpid(), float)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_each_forked_worker_runs_a_fixed_share_of_the_chunks(workers):
+    # chunk j of all cells' chunks in turn runs in child j mod W, however long each chunk takes
+    cfg = cfg_with(n_values=(30, 60), replicas=16, workers=workers)
+    cells = experiments._gather(_pid_rows, cfg, cfg.n_values)
+    chunks = [(cell, s, c) for cell, n in enumerate(cfg.n_values) for s, c in experiments._chunks(16, n)]
+    assert len(chunks) == 16
+    pids = [cells[cell][s] for cell, s, _ in chunks[:workers]]
+    assert len(set(pids)) == workers and os.getpid() not in pids
+    for j, (cell, s, c) in enumerate(chunks):
+        assert np.all(cells[cell][s:s + c] == pids[j % workers])
+
+
+def test_one_worker_runs_every_chunk_in_the_campaign_process():
+    cfg = cfg_with(n_values=(30, 60), replicas=16, workers=1)
+    assert all(np.all(cell == os.getpid()) for cell in experiments._gather(_pid_rows, cfg, cfg.n_values))
+
+
+def test_a_failing_share_fails_the_campaign(capfd):
+    # odd chunks are share 1 of 2: one child fails, the other finishes its share
+    def odd_chunks_fail(task):
+        cfg, n, start, count = task
+        if experiments._chunks(cfg.replicas, n).index((start, count)) % 2:
+            raise ArithmeticError("odd chunk")
+        return np.zeros(count)
+
+    cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2)
+    with pytest.raises(RuntimeError, match="^1 of 2 campaign workers failed"):
+        experiments._gather(odd_chunks_fail, cfg, cfg.n_values)
+    assert capfd.readouterr().err.count("ArithmeticError: odd chunk") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_moment_check_canonical_alpha():
     cfg = cfg_with(n_values=(500,), replicas=400, schedule=RegimeSchedule.constant(0.05))
     report = run_moment_check(cfg)
