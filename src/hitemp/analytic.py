@@ -85,21 +85,21 @@ def _atoms_of(mu) -> np.ndarray:
 
 
 _EDGE_SERIES = [math.comb(2 * k, k) * (-1) ** (k + 1) / ((2 * k - 1) * 16.0 ** k) * 3 / (2 * k + 3)
-                for k in range(13, -1, -1)]  # d_13..d_0 of rate_J's series, enough for t < 1/4
+                for k in range(27, -1, -1)]  # d_27..d_0 of rate_J's series, enough for t < 1
 
 
 def rate_J(x: float) -> float:
     """Large-deviation rate of the largest particle at speed n*beta: +inf below
     2, x*sqrt(x^2-4)/4 - log((x + sqrt(x^2-4))/2) = -phi - 1/2 above, for phi =
-    log_potential_semicircle(x) - x^2/4.  For t = x - 2 < 1/4, where that form
-    cancels, the integral of sqrt(y (4 + y))/2 over [0, t] term by term:
-    (2/3) t^(3/2) sum_k d_k t^k, d_k = binom(1/2, k) 4^-k 3/(2k+3), which is
-    exactly 0 at the edge.  +inf once x^2/4 overflows."""
+    log_potential_semicircle(x) - x^2/4.  For t = x - 2 < 1, where that form
+    cancels (by up to 13 ulp at t = 1/4), the integral of sqrt(y (4 + y))/2
+    over [0, t] term by term: (2/3) t^(3/2) sum_k d_k t^k, d_k = binom(1/2, k)
+    4^-k 3/(2k+3), which is exactly 0 at the edge.  +inf once x^2/4 overflows."""
     x = float(x)
     if x < 2.0:
         return math.inf
     t = x - 2.0
-    if t < 0.25:
+    if t < 1.0:
         return t * math.sqrt(t) * float(np.polyval(_EDGE_SERIES, t)) / 1.5
     root = math.sqrt(x * x - 4.0)
     if root == math.inf:  # x^2 overflowed; J = x^2/4 - log(x) - 1/2 - O(x^-2) rounds to x^2/4

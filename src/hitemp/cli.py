@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__
 from .analytic import evaluate_rate
 from .experiments import (
-    ABSTOL,
     STREAM_CONTRACT,
     ExperimentConfig,
     run_esd_check,
@@ -196,8 +195,7 @@ def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
         "nproc": os.cpu_count(),
         "master_seed": cfg.master_seed,
         "stream_contract": STREAM_CONTRACT,
-        "solver": {"lambda_max": f"dstebz, RANGE='I', IL=IU=n, ABSTOL={ABSTOL!r}",
-                   "spectra": "dsterf", "library": os.path.basename(eigmod.library()[0])},
+        "solver": dict(eigmod.SOLVER, library=os.path.basename(eigmod.library()[0])),
         "timestamp": datetime.datetime.now(tz=datetime.timezone.utc).isoformat(),
         "config": dataclasses.asdict(cfg),
         "outputs": files,

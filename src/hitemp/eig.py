@@ -3,9 +3,9 @@ over (r, n) diagonals and (r, n - 1) off-diagonals: `lambda_max_batch`,
 `batch_spectra` and `counts_at_or_below` (eigenvalues at or below a shift),
 which `counts_abs_at_or_above` calls once.  `gershgorin` brackets a spectrum.
 
-lambda_max is LAPACK's dstebz (bisection, RANGE='I', IL=IU=n) with ABSTOL =
-tol, a required argument (campaigns pass experiments.ABSTOL), and a full
-spectrum is dsterf (Pal-Walker-Kahan QL/QR), which reads no tolerance.  Both
+lambda_max is LAPACK's dstebz (bisection, RANGE='I', IL=IU=n) at this
+module's constant ABSTOL, and a full spectrum is dsterf (Pal-Walker-Kahan
+QL/QR), which reads no tolerance; SOLVER names both for run manifests.  Both
 are called by ctypes in the OpenBLAS that the numpy wheel ships
 (`numpy.libs/libscipy_openblas64_*.so`, loaded by `import numpy`); importing
 scipy.linalg for them would add about 26 MB of RSS.  The build is ILP64 with
@@ -31,6 +31,9 @@ _EPS = float(np.finfo(float).eps)
 _LIBS_DIR = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 _LIB_PREFIX = "libscipy_openblas64_"
 _P = ctypes.c_void_p
+
+ABSTOL = 1e-12  # dstebz's absolute tolerance for every lambda_max
+SOLVER = {"lambda_max": f"dstebz, RANGE='I', IL=IU=n, ABSTOL={ABSTOL!r}", "spectra": "dsterf"}
 
 
 @functools.cache
@@ -109,16 +112,14 @@ def gershgorin(tri: TridiagonalMatrix) -> tuple[float, float]:
     return float((diag - r).min()), float((diag + r).max())
 
 
-def lambda_max_batch(diags, offdiags, tol: float) -> np.ndarray:
-    """Largest eigenvalue of each matrix in a (replicas, n) batch, by dstebz with ABSTOL = tol."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+def lambda_max_batch(diags, offdiags) -> np.ndarray:
+    """Largest eigenvalue of each matrix in a (replicas, n) batch, by dstebz at ABSTOL."""
     _, dstebz, _ = library()
     d, e = _batch(diags, offdiags)
     r, n = d.shape
     out = np.empty(r)
     # integers N, IL, IU, M, NSPLIT, INFO; reals VL = VU (unused with RANGE='I'), ABSTOL
-    ints, reals = np.array([n, n, n, 0, 0, 0], dtype=np.int64), np.array([0.0, tol])
+    ints, reals = np.array([n, n, n, 0, 0, 0], dtype=np.int64), np.array([0.0, ABSTOL])
     w, work = np.empty(n), np.empty(4 * n)
     iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (1, 1, 3))
     n_p, il_p, iu_p, m_p, nsplit_p, info_p = (ints.ctypes.data + 8 * k for k in range(6))

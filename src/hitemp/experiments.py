@@ -38,9 +38,6 @@ STREAM_CONTRACT = (
     "standard_gamma(j*beta/2 + 1) for j = n-1..1 broadcast to (B, n-1), random((B, n-1)); "
     "replica r = row r mod B of block r // B")
 
-# dstebz's ABSTOL for every lambda_max; dsterf, which solves spectra, takes none
-ABSTOL = 1e-12
-
 
 def _integer(name: str, value) -> int:
     """value as an int; a bool or a value with a fractional part is a ValueError."""
@@ -125,7 +122,7 @@ def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
 
 def _task_lambda_max(task):
     diags, offs = _sample_block(*task)
-    return eig.lambda_max_batch(diags, offs, ABSTOL)
+    return eig.lambda_max_batch(diags, offs)
 
 
 def _task_moments(task):

@@ -102,6 +102,16 @@ def test_rate_j_against_mpmath_from_the_edge_to_1e150():
         assert abs(rate_J(x) - want) <= 1e-14 * want, x
 
 
+def test_rate_j_within_4_ulp_where_the_closed_form_cancels():
+    # the closed form, once used from x = 2.25, was off by up to 12.8 ulp here
+    rng = np.random.Generator(np.random.Philox(key=2253))
+    with mpmath.workdps(40):
+        for x in rng.uniform(2.25, 3.0, size=400):
+            u = mpmath.acosh(mpmath.mpf(x) / 2)
+            want = (mpmath.sinh(2 * u) - 2 * u) / 2
+            assert abs(rate_J(x) - want) <= 4 * math.ulp(float(want)), x
+
+
 def test_rate_j_overflows_to_inf_not_nan():
     # x*x overflowed, and inf - log(inf) gave nan
     assert rate_J(2.6e154) == pytest.approx(1.69e308, rel=1e-15)  # x^2 overflows, J does not

@@ -60,12 +60,12 @@ def test_gershgorin_examples():
 
 
 def test_lambda_max_two_by_two():
-    assert eig.lambda_max_batch(*one([0.0, 0.0], [1.0]), 1e-12)[0] == pytest.approx(1.0, abs=1e-12)
+    assert eig.lambda_max_batch(*one([0.0, 0.0], [1.0]))[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lambda_max_three_by_three():
     # characteristic polynomial lambda^3 - 2 lambda = 0 -> extremes +-sqrt(2)
-    got = eig.lambda_max_batch(*one([0.0, 0.0, 0.0], [1.0, 1.0]), 1e-12)[0]
+    got = eig.lambda_max_batch(*one([0.0, 0.0, 0.0], [1.0, 1.0]))[0]
     assert got == pytest.approx(math.sqrt(2), abs=1e-11)
 
 
@@ -75,12 +75,7 @@ def test_lambda_max_matches_charpoly_oracle():
         diag = rng.normal(size=8)
         off = np.abs(rng.normal(size=7))
         oracle = charpoly_eigenvalues(diag, off)
-        assert eig.lambda_max_batch(*one(diag, off), 1e-12)[0] == pytest.approx(oracle[-1], abs=1e-9)
-
-
-def test_invalid_tol():
-    with pytest.raises(ValueError):
-        eig.lambda_max_batch(*one([0.0, 0.0], [1.0]), -1e-9)
+        assert eig.lambda_max_batch(*one(diag, off))[0] == pytest.approx(oracle[-1], abs=1e-9)
 
 
 def test_full_spectrum_diagonal():
@@ -106,9 +101,8 @@ def test_full_spectrum_trace_conservation():
 
 def test_consistency_count_at_lambda_max():
     t = sample_matrix(make_params(30, 0.4), SeededStream(2, 0))
-    tol = 1e-10
-    lm = eig.lambda_max_batch(*one(t.diag, t.offdiag), tol)
-    assert eig.counts_at_or_below(*one(t.diag, t.offdiag), lm + 2 * tol)[0] == t.n
+    lm = eig.lambda_max_batch(*one(t.diag, t.offdiag))
+    assert eig.counts_at_or_below(*one(t.diag, t.offdiag), lm + 2 * eig.ABSTOL)[0] == t.n
 
 
 def _cubic_eigenvalues(d0, d1, d2, e0, e1):
@@ -166,13 +160,13 @@ def test_batch_lane_independence():
     rng = np.random.Generator(np.random.Philox(key=78))
     diags = rng.normal(size=(5, 9))
     offs = np.abs(rng.normal(size=(5, 8)))
-    full = eig.lambda_max_batch(diags, offs, 1e-11)
-    solo = eig.lambda_max_batch(diags[2:3], offs[2:3], 1e-11)
+    full = eig.lambda_max_batch(diags, offs)
+    solo = eig.lambda_max_batch(diags[2:3], offs[2:3])
     assert full[2] == solo[0]
 
 
-def _sampled_batch(r, n, seed):
-    mats = [sample_matrix(make_params(n, 0.2), SeededStream(seed, i)) for i in range(r)]
+def _sampled_batch(r, n, seed, beta=0.2):
+    mats = [sample_matrix(make_params(n, beta), SeededStream(seed, i)) for i in range(r)]
     return np.array([m.diag for m in mats]), np.array([m.offdiag for m in mats])
 
 
@@ -181,15 +175,15 @@ def _normal_batch(r, n, key):
     return rng.normal(size=(r, n)), np.abs(rng.normal(size=(r, n - 1)))
 
 
-@pytest.mark.parametrize("diags, offs, row, tol", [
-    (*_normal_batch(5, 9, 78), 2, 1e-11),
+@pytest.mark.parametrize("diags, offs, row", [
+    (*_normal_batch(5, 9, 78), 2),
     # 300 rows settle one level per Sturm sweep, the solo row eight
-    (*_sampled_batch(300, 20, 79), 123, 1e-11),
+    (*_sampled_batch(300, 20, 79), 123),
 ])
-def test_batch_lane_independence_all_entry_points(diags, offs, row, tol):
+def test_batch_lane_independence_all_entry_points(diags, offs, row):
     # a lane's result must not depend on what else is in the batch
     solo = (diags[row:row + 1], offs[row:row + 1])
-    assert eig.lambda_max_batch(diags, offs, tol)[row] == eig.lambda_max_batch(*solo, tol)[0]
+    assert eig.lambda_max_batch(diags, offs)[row] == eig.lambda_max_batch(*solo)[0]
     assert np.array_equal(eig.batch_spectra(diags, offs)[row], eig.batch_spectra(*solo)[0])
     shifts = np.repeat(np.linspace(-3.0, 3.0, 7)[:, None], len(diags), axis=1)
     assert np.array_equal(eig.counts_at_or_below(diags, offs, shifts)[:, row],
@@ -201,7 +195,7 @@ def _check_against_counts(diags, offs, tol):
     # the Sturm recurrence is independent of LAPACK: lambda_max must sit within
     # tol of the n-th count step, and each spectrum must step through 1..n
     n = diags.shape[1]
-    lm = eig.lambda_max_batch(diags, offs, tol)
+    lm = eig.lambda_max_batch(diags, offs)
     assert np.all(eig.counts_at_or_below(diags, offs, lm + tol) == n)
     assert np.all(eig.counts_at_or_below(diags, offs, lm - tol) <= n - 1)
     spectra = eig.batch_spectra(diags, offs)
@@ -214,20 +208,33 @@ def _check_against_counts(diags, offs, tol):
     assert np.all(np.abs(spectra.sum(axis=1) - diags.sum(axis=1)) <= 1e-13 * n * norm)
 
 
-@pytest.mark.parametrize("tol", [1e-12])
+@pytest.mark.parametrize("tol", [eig.ABSTOL])  # the window of the count check
 @pytest.mark.parametrize("r", [1, 3, 40])
 @pytest.mark.parametrize("n", [50, 400])
 def test_lapack_results_match_sturm_counts(r, n, tol):
-    _check_against_counts(*_sampled_batch(r, n, 11 + r), tol)
+    # beta -> 0 makes chi shapes near 0: at 1e-3 and 1e-4 some off-diagonals
+    # are exactly 0 and the squares of others underflow
+    for beta in (0.2, 1e-3, 1e-4):
+        _check_against_counts(*_sampled_batch(r, n, 11 + r, beta), tol)
 
 
-@pytest.mark.parametrize("tol", [1e-12, 1e-300])
-def test_repeated_eigenvalues(tol):
-    diags, offs = np.array([[1.0, 1.0, 1.0, 2.0]]), np.zeros((1, 3))
-    assert eig.lambda_max_batch(diags, offs, tol)[0] == 2.0
-    assert np.array_equal(eig.batch_spectra(diags, offs)[0], [1.0, 1.0, 1.0, 2.0])
-    if tol != 1e-300:  # a tol below the float spacing leaves no room either side
-        _check_against_counts(diags, offs, tol)
+@pytest.mark.parametrize("off", [0.0, 1e-300])
+def test_zero_pivot_then_zero_squared_offdiagonal(off):
+    # at shift 2 the first pivot is exactly 0 and the next squared off-diagonal
+    # is 0 too; a recurrence without a pivot guard gets 0/0 and counts 1
+    diags, offs = np.array([[2.0, 1.0]]), np.array([[off]])
+    assert eig.counts_at_or_below(diags, offs, [2.0])[0] == 2
+    assert eig.lambda_max_batch(diags, offs)[0] == 2.0
+    assert np.array_equal(eig.batch_spectra(diags, offs)[0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_repeated_eigenvalues(scale):
+    diags, offs = scale * np.array([[1.0, 1.0, 1.0, 2.0]]), np.zeros((1, 3))
+    assert eig.lambda_max_batch(diags, offs)[0] == 2.0 * scale
+    assert np.array_equal(eig.batch_spectra(diags, offs)[0], scale * np.array([1.0, 1.0, 1.0, 2.0]))
+    if scale == 1.0:  # at 2e6 ABSTOL is below the float spacing and leaves no room either side
+        _check_against_counts(diags, offs, eig.ABSTOL)
 
 
 def _bisect_one_level(diags, offs, lo, hi, targets):
@@ -245,15 +252,21 @@ def _bisect_one_level(diags, offs, lo, hi, targets):
 
 @pytest.mark.parametrize("r", [1, 3])
 def test_multisection_matches_one_level_below_float_spacing(r):
-    # named for the multisection solver that LAPACK replaced: at a tol no bracket
-    # of doubles can reach, dstebz and dsterf must agree with a one-level Sturm
-    # bisection run to adjacent doubles, to within both methods' n*eps*||T||
+    # named for the multisection solver that LAPACK replaced: dstebz, where
+    # ABSTOL is below the float spacing, and dsterf must agree with a one-level
+    # Sturm bisection run to adjacent doubles, to within n*eps*||T||.  lambda_max
+    # is checked on the batch scaled by 1e6, where the spacing at the top
+    # exceeds ABSTOL; the spectra at unit scale, since the count's pivot guard
+    # is not scale-invariant and its bisection drifts at 1e6
     diags, offs = _sampled_batch(r, 12, 13)
     n = diags.shape[1]
+    big_d, big_o = 1e6 * diags, 1e6 * offs
+    lo, hi = np.array([eig.gershgorin(tri(d, o)) for d, o in zip(big_d, big_o)]).T
+    bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+    lm = _bisect_one_level(big_d, big_o, lo, hi, n)
+    assert np.all(np.abs(eig.lambda_max_batch(big_d, big_o) - lm) <= bound)
     lo, hi = np.array([eig.gershgorin(tri(d, o)) for d, o in zip(diags, offs)]).T
     bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-    lm = _bisect_one_level(diags, offs, lo, hi, n)
-    assert np.all(np.abs(eig.lambda_max_batch(diags, offs, 1e-300) - lm) <= bound)
     spectra = np.sort(_bisect_one_level(diags, offs, np.repeat(lo[None], n, axis=0),
                                         np.repeat(hi[None], n, axis=0), np.arange(1, n + 1)[:, None]).T, axis=1)
     assert np.all(np.abs(eig.batch_spectra(diags, offs) - spectra) <= bound[:, None])
@@ -266,7 +279,7 @@ def test_missing_library_is_a_runtime_error(tmp_path, monkeypatch):
     eig.library.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=f"no libscipy_openblas64_.*in {re.escape(str(tmp_path))}"):
-            eig.lambda_max_batch(np.zeros((1, 2)), np.ones((1, 1)), 1e-12)
+            eig.lambda_max_batch(np.zeros((1, 2)), np.ones((1, 1)))
         # a library without the routines: numpy's own libquadmath, renamed
         quadmath = next(f for f in os.listdir(real_dir) if f.startswith("libquadmath"))
         fake = tmp_path / "libscipy_openblas64_-fake.so"
@@ -310,7 +323,7 @@ def test_batch_entry_points_reject_a_mis_shaped_batch(offs):
     # off-diagonal (0, 0, 5) counted 1 eigenvalue at or above 2.5
     diags = np.array([[1.0, 2.0, 3.0]])
     message = re.escape(f"need (r, n) diagonals and (r, n - 1) off-diagonals, got (1, 3) and {offs.shape}")
-    for solve in (lambda d, o: eig.lambda_max_batch(d, o, 1e-12), eig.batch_spectra,
+    for solve in (eig.lambda_max_batch, eig.batch_spectra,
                   lambda d, o: eig.counts_at_or_below(d, o, [2.5]),
                   lambda d, o: eig.counts_abs_at_or_above(d, o, 2.5)):
         with pytest.raises(ValueError, match=message):
@@ -331,14 +344,17 @@ _BELOW_FLOAT_SPACING = textwrap.dedent("""
     mats = [sample_matrix(make_params(40, 0.3), SeededStream(3, r)) for r in range(4)]
     diags = np.array([m.diag for m in mats])
     offs = np.array([m.offdiag for m in mats])
-    got = eig.lambda_max_batch(diags, offs, 1e-300)
-    assert np.max(np.abs(got - eig.lambda_max_batch(diags, offs, 1e-12))) <= 1e-11
+    for scale in (1e6, 1e9, 1e12):  # ABSTOL is below the float spacing of lambda_max
+        big_d, big_o = scale * diags, scale * offs
+        norm = np.max(np.abs(big_d), axis=1) + 2 * np.max(big_o, axis=1)
+        got = eig.lambda_max_batch(big_d, big_o)
+        assert np.all(np.abs(got - eig.batch_spectra(big_d, big_o)[:, -1]) <= 40 * np.finfo(float).eps * norm)
     dump_matrix(mats[0], sys.argv[1])
 """)
 
 
 def test_tol_below_float_spacing_terminates(tmp_path):
-    # a tol no bracket of doubles can reach must stop at adjacent doubles; run
+    # an ABSTOL no bracket of doubles can reach must stop at adjacent doubles; run
     # in a child process so that a solver that never stops fails on a timeout
     src = os.path.dirname(os.path.dirname(eig.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -172,7 +172,7 @@ def test_one_set_of_forked_workers_per_campaign(monkeypatch):
 def test_a_failing_worker_fails_the_campaign(tmp_path, monkeypatch, capfd):
     # the children inherit the patched solver; each prints its traceback and
     # exits 1, and the parent reaps them all before it raises
-    def broken(diags, offs, abstol):
+    def broken(diags, offs):
         raise ArithmeticError("solver failed in a worker")
 
     monkeypatch.setattr(eig, "lambda_max_batch", broken)
@@ -351,7 +351,7 @@ def test_lambda_max_dominates_mean():
     params = make_params(50, 0.2)
     for r in range(100):
         tri = sample_matrix(params, SeededStream(31337, r))
-        assert eig.lambda_max_batch(tri.diag[None], tri.offdiag[None], 1e-10)[0] >= float(np.mean(tri.diag)) - 1e-10
+        assert eig.lambda_max_batch(tri.diag[None], tri.offdiag[None])[0] >= float(np.mean(tri.diag)) - eig.ABSTOL
 
 
 def test_worker_count_invariance():

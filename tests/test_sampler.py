@@ -14,7 +14,9 @@ from hitemp.sampler import (
     load_matrix,
     log_chi,
     sample_matrix,
+    sample_rows,
 )
+from hitemp.quadrature import adaptive_quad
 
 
 def _trace_h2(tri):
@@ -138,6 +140,37 @@ def test_reversal_symmetry_of_spectrum():
     tri = sample_matrix(make_params(60, 0.3), SeededStream(21, 0))
     a, b = eig.batch_spectra([tri.diag, tri.diag[::-1]], [tri.offdiag, tri.offdiag[::-1]])
     assert np.max(np.abs(a - b)) <= 1e-11
+
+
+def _n2_tail(x, beta):
+    """Exact P(lambda_max >= x) at n = 2, where alpha = beta.  u = (l1 + l2)/sqrt(2)
+    ~ N(0, 1/alpha) is independent of v = |l1 - l2|/sqrt(2), whose density is
+    prop. to v^beta e^(-alpha v^2/2), and lambda_max = (u + v)/sqrt(2); in
+    w = v sqrt(alpha) the law depends on x only through s = x sqrt(alpha)."""
+    s = math.sqrt(2.0 * beta) * x
+    norm = 0.5 * math.gamma((beta + 1) / 2) * 2 ** ((beta + 1) / 2)
+    mass = adaptive_quad(lambda w: w**beta * math.exp(-w * w / 2) * 0.5 * math.erfc((s - w) / math.sqrt(2)),
+                         0.0, 40.0, points=(s,) if 0.0 < s < 40.0 else ())
+    return mass / norm
+
+
+@pytest.mark.parametrize("beta, seed", [(0.01, 7001), (0.1, 7002), (1.0, 7003)])
+def test_sampled_lambda_max_follows_the_exact_law_at_n_2(beta, seed):
+    # Dumitriu-Edelman at the smallest n: sampler and dstebz against the
+    # joint eigenvalue density.  One seed per beta, since one key gives the
+    # same normals to every beta and one fluctuation would show at all three
+    replicas = 100_000
+    assert _n2_tail(-40.0 / math.sqrt(beta), beta) == pytest.approx(1.0, abs=1e-10)
+    lam = np.sort(eig.lambda_max_batch(*sample_rows(make_params(2, beta), seed, 0, replicas)))
+    for x in np.array([0.0, 1.0, 2.0, 3.0]) / math.sqrt(beta):
+        p = _n2_tail(x, beta)
+        assert abs(np.mean(lam >= x) - p) <= 4 * math.sqrt(p * (1 - p) / replicas), x
+    # Dvoretzky-Kiefer-Wolfowitz: sup |F_hat - F| exceeds eps with probability
+    # at most 2 exp(-2 N eps^2) = 1e-6
+    xs = np.linspace(-4.0, 5.0, 50) / math.sqrt(beta)
+    cdf = np.array([1.0 - _n2_tail(x, beta) for x in xs])
+    gap = np.max(np.abs(np.searchsorted(lam, xs) / replicas - cdf))
+    assert gap <= math.sqrt(math.log(2e6) / (2 * replicas))
 
 
 def test_second_moment_identity_vs_solver():
