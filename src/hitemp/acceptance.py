@@ -23,7 +23,6 @@ from .experiments import CheckResult, ExperimentConfig, lambda_max_sample, run_e
 from .model import RegimeSchedule
 from .partition import compare_ratios, log_Z, technical_gap
 from .quadrature import adaptive_quad
-from .sampler import TridiagonalMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +132,7 @@ def criterion_4_eigensolver_oracle(**_) -> CheckResult:
         ours = eig.batch_spectra(diag[None], offdiag[None])[0]
         oracle = charpoly_eigenvalues(diag, offdiag)
         worst_eig = max(worst_eig, float(np.max(np.abs(ours - oracle))))
-        lo, hi = eig.gershgorin(TridiagonalMatrix(diag, offdiag))
+        (lo,), (hi,) = eig.gershgorin(diag[None], offdiag[None])
         shifts = []
         while len(shifts) < 20:
             s = rng.uniform(lo - 0.5, hi + 0.5)
@@ -229,10 +228,10 @@ def criterion_10_property_suite(workers=1, quick=False, **_) -> CheckResult:
     mono_bad = 0
     for _i in range(1000):
         n = int(rng.integers(2, 12))
-        tri = TridiagonalMatrix(rng.normal(size=n), np.abs(rng.normal(size=n - 1)))
-        lo, hi = eig.gershgorin(tri)
+        diag, offdiag = rng.normal(size=(1, n)), np.abs(rng.normal(size=(1, n - 1)))
+        (lo,), (hi,) = eig.gershgorin(diag, offdiag)
         x, y = sorted(rng.uniform(lo - 1.0, hi + 1.0, size=2))
-        cx, cy = eig.counts_at_or_below(tri.diag[None], tri.offdiag[None], [[x], [y]])[:, 0]
+        cx, cy = eig.counts_at_or_below(diag, offdiag, [[x], [y]])[:, 0]
         mono_bad += int(cx > cy)
 
     argv = ["sweep", "--schedule", "const", "--c", "0.1", "--n", "100",

@@ -244,8 +244,8 @@ def _add_experiment_flags(sp, grid=None, summary=True):
 def _add_sample_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
-    sp.add_argument("--seed", type=int, default=ExperimentConfig.master_seed)
-    sp.add_argument("--stream", type=int, default=0, help="replica index r: row r mod B(n) of the Philox block r // B(n) keyed --seed")
+    sp.add_argument("--seed", type=int, default=ExperimentConfig.master_seed, help="master seed, as a campaign's")
+    sp.add_argument("--stream", type=int, default=0, help="replica index r: a campaign's replica r at this --seed and --n")
     sp.add_argument("--plus-one-alpha", action="store_true")
     sp.add_argument("--out", required=True, help="dump file path")
 
@@ -290,7 +290,8 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     params = make_params(args.n, args.beta, plus_one_alpha=args.plus_one_alpha)
-    dump_matrix(sample_matrix(params, SeededStream(args.seed, args.stream)), args.out)
+    key = ExperimentConfig(RegimeSchedule.constant(args.beta), (args.n,), master_seed=args.seed).cell_seed(args.n)
+    dump_matrix(sample_matrix(params, SeededStream(key, args.stream)), args.out)
     return 0
 
 

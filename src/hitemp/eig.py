@@ -1,7 +1,7 @@
 """Symmetric tridiagonal eigensolver, one batch entry point per question, each
 over (r, n) diagonals and (r, n - 1) off-diagonals: `lambda_max_batch`,
-`batch_spectra` and `counts_at_or_below` (eigenvalues at or below a shift),
-which `counts_abs_at_or_above` calls once.  `gershgorin` brackets a spectrum.
+`batch_spectra`, `counts_at_or_below` (eigenvalues at or below a shift), which
+`counts_abs_at_or_above` calls once, and `gershgorin`, a bracket of each spectrum.
 
 lambda_max is LAPACK's dstebz (bisection, RANGE='I', IL=IU=n) at this
 module's constant ABSTOL, and a full spectrum is dsterf (Pal-Walker-Kahan
@@ -24,8 +24,6 @@ import functools
 import os
 
 import numpy as np
-
-from .sampler import TridiagonalMatrix
 
 _EPS = float(np.finfo(float).eps)
 _LIBS_DIR = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
@@ -103,13 +101,13 @@ def counts_at_or_below(diags, offdiags, shifts) -> np.ndarray:
     return count
 
 
-def gershgorin(tri: TridiagonalMatrix) -> tuple[float, float]:
-    """Interval [lo, hi] containing the whole spectrum."""
-    diag, off = tri.diag, np.abs(tri.offdiag)
-    r = np.zeros_like(diag)
-    r[:-1] += off
-    r[1:] += off
-    return float((diag - r).min()), float((diag + r).max())
+def gershgorin(diags, offdiags) -> tuple[np.ndarray, np.ndarray]:
+    """(lo, hi), two (r,) arrays: per matrix of a (r, n) batch, an interval containing its spectrum."""
+    d, e = _batch(diags, offdiags)
+    e, radius = np.abs(e), np.zeros_like(d)
+    radius[:, :-1] += e
+    radius[:, 1:] += e
+    return (d - radius).min(axis=1), (d + radius).max(axis=1)
 
 
 def lambda_max_batch(diags, offdiags) -> np.ndarray:

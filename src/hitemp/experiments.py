@@ -6,9 +6,12 @@ per-replica largest eigenvalues behind the concentration at 2.
 Replica r of a cell is row r mod B(n) of the cell's Philox block r // B(n)
 (sampler.sample_rows), chunks are a fixed function of (replicas, n), and the
 solver treats each matrix of a batch on its own, so outputs are byte-identical
-for any worker count.  Several workers are W forked children, one set per
-campaign, filling one shared buffer: child k runs chunks k, k + W, ...  The
-fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
+for any worker count.  A campaign reduces a statistic fn(diags, offs): for each
+chunk of `count` replicas of size n, `_gather` samples their (count, n) and
+(count, n - 1) arrays, in replica order, and fn returns `count` rows.  Several
+workers are W forked children, one set per campaign, filling one shared buffer:
+child k runs chunks k, k + W, ...  The fields of TailRow, TailboundRow and
+EsdRow are the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .partition import log_tail_bound
 from .sampler import _U64, SeededStream, sample_matrix, sample_rows
 
 _CHUNK_ELEMS = 2_000_000
-_MIN_TASKS = 8  # worker-count independent task granularity
+_MIN_CHUNKS = 8  # worker-count independent chunk granularity
 
 # recorded in run manifests; outputs under another contract are not comparable
 STREAM_CONTRACT = (
@@ -78,10 +81,9 @@ class ExperimentConfig:
         return make_params(n, self.schedule.beta(n), plus_one_alpha=self.plus_one_alpha)
 
     def cell_seed(self, n: int) -> int:
-        # a 64-bit hash of (master_seed, n); master_seed + n gave seed 1 at
-        # n=400 and seed 201 at n=200 the same key.  Called in the worker
-        # tasks, not the campaign process: the first SeedSequence imports
-        # numpy.random, about 5.6 MB of RSS
+        # a 64-bit hash of (master_seed, n); master_seed + n gave seed 1 at n=400 and
+        # seed 201 at n=200 the same key.  Called in the workers, not the campaign
+        # process: the first SeedSequence imports numpy.random, about 5.6 MB of RSS
         seq = np.random.SeedSequence((self.master_seed & _U64, n))
         return int(seq.generate_state(1, np.uint64)[0])
 
@@ -100,11 +102,11 @@ class Report(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# replica chunking and worker tasks
+# replica chunking, per-replica statistics and workers
 # ---------------------------------------------------------------------------
 
 def _chunks(replicas: int, n: int):
-    size = max(1, min(_CHUNK_ELEMS // max(n, 1), math.ceil(replicas / _MIN_TASKS)))
+    size = max(1, min(_CHUNK_ELEMS // max(n, 1), math.ceil(replicas / _MIN_CHUNKS)))
     return [(s, min(size, replicas - s)) for s in range(0, replicas, size)]
 
 
@@ -118,38 +120,24 @@ def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
     return sample_rows(params, seed, start, count)
 
 
-# A task is (cfg, n, start, count): replicas start..start+count-1 of size n.
-
-def _task_lambda_max(task):
-    diags, offs = _sample_block(*task)
-    return eig.lambda_max_batch(diags, offs)
-
-
-def _task_moments(task):
+def _moments(diags, offs):
     """Per replica, (1/n) sum lambda_i^2 by the trace identity and
     (1/n) sum lambda_i = (1/n) trace, as two columns."""
-    n = task[1]
-    diags, offs = _sample_block(*task)
-    second = (np.sum(diags**2, axis=1) + 2.0 * np.sum(offs**2, axis=1)) / n
+    second = (np.sum(diags**2, axis=1) + 2.0 * np.sum(offs**2, axis=1)) / diags.shape[1]
     return np.column_stack((second, np.mean(diags, axis=1)))
 
 
-def _task_abs_tail(task):
-    cfg, n, _, count = task
-    diags, offs = _sample_block(*task)
-    out = np.empty((count, len(cfg.t_grid)))
-    for j, t in enumerate(cfg.t_grid):
-        out[:, j] = eig.counts_abs_at_or_above(diags, offs, t) / n
-    return out
+def _abs_tail(diags, offs, t_grid):
+    """Per replica, #{i: |lambda_i| >= t}/n for each t of t_grid, as columns."""
+    return np.column_stack([eig.counts_abs_at_or_above(diags, offs, t) / diags.shape[1] for t in t_grid])
 
 
-def _task_measure_stats(task):
-    *_, count = task
-    diags, offs = _sample_block(*task)
+def _measure_stats(diags, offs):
+    """Per replica, W1 and KS to the semicircle and energy_I's two values."""
     spectra = eig.batch_spectra(diags, offs)
-    out = np.empty((count, 4))
-    for j in range(count):
-        mu = DiscreteMeasure(spectra[j])
+    out = np.empty((len(spectra), 4))
+    for j, spectrum in enumerate(spectra):
+        mu = DiscreteMeasure(spectrum)
         out[j, 0] = w1_to_semicircle(mu)
         out[j, 1] = ks_to_semicircle(mu)
         out[j, 2:] = energy_I(mu)
@@ -157,21 +145,22 @@ def _task_measure_stats(task):
 
 
 def _gather(fn, cfg: ExperimentConfig, n_values, row_shape=()) -> list:
-    """fn over the replica chunks of each n in n_values: one array per n, rows of
-    shape row_shape in replica order.  W = min(workers, chunks) forked children
-    fill one shared buffer; child k runs chunks k, k + W, ... of all cells in turn."""
-    cells = [[(cfg, n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
+    """fn(diags, offs) over the replica chunks of each n in n_values: one array per
+    n, rows of shape row_shape in replica order.  fn gets a chunk's (count, n) and
+    (count, n - 1) arrays, sampled here, and returns `count` rows.  W = min(workers,
+    chunks) forked children fill one shared buffer; child k runs chunks k, k + W, ..."""
+    cells = [[(n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
     if cfg.workers <= 1 or max(map(len, cells)) <= 1:
-        return [np.concatenate([fn(t) for t in tasks]) for tasks in cells]
+        return [np.concatenate([fn(*_sample_block(cfg, *chunk)) for chunk in chunks]) for chunks in cells]
     import mmap  # the one-worker path needs no shared buffer
     list(map(cfg.params_for, n_values))  # a bad size or schedule raises here, not in a child
-    tasks = [(i, t) for i, cell in enumerate(cells) for t in cell]
+    chunks = [(i, chunk) for i, cell in enumerate(cells) for chunk in cell]
     shape = (len(cells), cfg.replicas, *row_shape)
     rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
-    w, pids = min(cfg.workers, len(tasks)), []
+    w, pids = min(cfg.workers, len(chunks)), []
     try:
         for k in range(w):
-            pids.append(os.fork() or _work(fn, tasks[k::w], rows))  # a child never returns
+            pids.append(os.fork() or _work(fn, cfg, chunks[k::w], rows))  # a child never returns
     finally:
         failed = sum(os.waitpid(pid, 0)[1] != 0 for pid in pids)
     if failed:
@@ -179,11 +168,11 @@ def _gather(fn, cfg: ExperimentConfig, n_values, row_shape=()) -> list:
     return list(rows)
 
 
-def _work(fn, tasks, rows):
-    """A forked child: runs its share of the tasks; leaves only by os._exit."""
+def _work(fn, cfg, chunks, rows):
+    """A forked child: runs its share of the chunks; leaves only by os._exit."""
     try:
-        for i, task in tasks:
-            rows[i, task[2]:task[2] + task[3]] = fn(task)
+        for i, (n, start, count) in chunks:
+            rows[i, start:start + count] = fn(*_sample_block(cfg, n, start, count))
         os._exit(0)
     except BaseException:
         import traceback
@@ -195,7 +184,7 @@ def _work(fn, tasks, rows):
 
 def lambda_max_sample(cfg: ExperimentConfig, n: int) -> np.ndarray:
     """Per-replica largest eigenvalues for one ensemble size, replica order."""
-    return _gather(_task_lambda_max, cfg, (n,))[0]
+    return _gather(eig.lambda_max_batch, cfg, (n,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +212,7 @@ def run_moment_check(cfg: ExperimentConfig) -> Report:
     expectations are (1 + beta*(n-1)/2)/alpha and 0.
     """
     rows, checks = [], []
-    for n, cell in zip(cfg.n_values, _gather(_task_moments, cfg, cfg.n_values, (2,))):
+    for n, cell in zip(cfg.n_values, _gather(_moments, cfg, cfg.n_values, (2,))):
         params = cfg.params_for(n)
         second = (1.0 + params.beta * (n - 1) / 2.0) / params.alpha
         for moment, vals, exact, name in ((2, cell[:, 0], second, "second"), (1, cell[:, 1], 0.0, "first")):
@@ -256,7 +245,7 @@ def run_tail_sweep(cfg: ExperimentConfig) -> Report:
     if any(x <= 2.0 for x in cfg.x_grid):
         raise ValueError("x_grid values must exceed the bulk edge 2")
     rows = []
-    for n, lam in zip(cfg.n_values, _gather(_task_lambda_max, cfg, cfg.n_values)):
+    for n, lam in zip(cfg.n_values, _gather(eig.lambda_max_batch, cfg, cfg.n_values)):
         beta = cfg.schedule.beta(n)
         nb = n * beta
         for x in cfg.x_grid:
@@ -294,7 +283,8 @@ def run_tailbound_check(cfg: ExperimentConfig) -> Report:
     if not all(t > 0.0 for t in cfg.t_grid):
         raise ValueError("t_grid values must be positive")
     rows, checks = [], []
-    for n, fracs in zip(cfg.n_values, _gather(_task_abs_tail, cfg, cfg.n_values, (len(cfg.t_grid),))):
+    tails = _gather(lambda diags, offs: _abs_tail(diags, offs, cfg.t_grid), cfg, cfg.n_values, (len(cfg.t_grid),))
+    for n, fracs in zip(cfg.n_values, tails):
         params = cfg.params_for(n)
         for j, t in enumerate(cfg.t_grid):
             col = fracs[:, j]
@@ -321,7 +311,7 @@ class EsdRow(NamedTuple):
 def run_esd_check(cfg: ExperimentConfig) -> Report:
     """Empirical-spectral-measure convergence diagnostics along the schedule."""
     rows = []
-    for n, stats in zip(cfg.n_values, _gather(_task_measure_stats, cfg, cfg.n_values, (4,))):
+    for n, stats in zip(cfg.n_values, _gather(_measure_stats, cfg, cfg.n_values, (4,))):
         params = cfg.params_for(n)
         rows.append(EsdRow(
             n, params.beta,

@@ -68,6 +68,19 @@ def test_partition_rows(tmp_path):
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
+@pytest.mark.parametrize("n", [200, 1500])
+def test_sample_dumps_the_campaign_replica(tmp_path, n):
+    # --seed is the master seed: the dump is replica 3 of the cell (seed 7, n),
+    # as a campaign samples it.  B(200) = 10, B(1500) = 1
+    dump = tmp_path / "m.txt"
+    assert run_cli("sample", "--n", str(n), "--beta", "0.05", "--seed", "7", "--stream", "3",
+                   "--out", str(dump)) == 0
+    cfg = experiments.ExperimentConfig(schedule=RegimeSchedule.constant(0.05), n_values=(n,), master_seed=7)
+    diags, offs = experiments._sample_block(cfg, n, 0, 4)
+    tri = load_matrix(dump)
+    assert np.array_equal(tri.diag, diags[3]) and np.array_equal(tri.offdiag, offs[3])
+
+
 def test_sample_then_eig_round_trip(tmp_path):
     dump = tmp_path / "m.txt"
     assert run_cli("sample", "--n", "16", "--beta", "0.3", "--seed", "5",

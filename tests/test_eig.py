@@ -32,9 +32,9 @@ def test_sturm_count_diagonal_matrix():
 
 
 def test_sturm_count_outside_gershgorin():
-    t = tri([1.0, -2.0, 0.5], [0.3, 1.1])
-    lo, hi = eig.gershgorin(t)
-    got = eig.counts_at_or_below(*one(t.diag, t.offdiag), [[lo - 1e-9], [hi + 1e-9]])
+    d, o = one([1.0, -2.0, 0.5], [0.3, 1.1])
+    (lo,), (hi,) = eig.gershgorin(d, o)
+    got = eig.counts_at_or_below(d, o, [[lo - 1e-9], [hi + 1e-9]])
     assert got[:, 0].tolist() == [0, 3]
 
 
@@ -54,9 +54,11 @@ def test_sturm_count_stability_at_coincident_shift():
 
 
 def test_gershgorin_examples():
-    assert eig.gershgorin(tri([5.0, 5.0], [0.0])) == (5.0, 5.0)
-    assert eig.gershgorin(tri([0.0, 0.0], [1.0])) == (-1.0, 1.0)
-    assert eig.gershgorin(tri([1.0, 2.0, 3.0], [1.0, 1.0])) == (0.0, 4.0)
+    # one interval per matrix of the batch
+    lo, hi = eig.gershgorin([[5.0, 5.0], [0.0, 0.0]], [[0.0], [1.0]])
+    assert lo.tolist() == [5.0, -1.0] and hi.tolist() == [5.0, 1.0]
+    lo, hi = eig.gershgorin(*one([1.0, 2.0, 3.0], [1.0, 1.0]))
+    assert (lo.tolist(), hi.tolist()) == ([0.0], [4.0])
 
 
 def test_lambda_max_two_by_two():
@@ -95,7 +97,7 @@ def test_full_spectrum_trace_conservation():
     norm = max(np.max(np.abs(t.diag)), np.max(t.offdiag))
     assert abs(spec.sum() - t.diag.sum()) <= t.n * tol + 1e-10 * norm
     assert np.all(np.diff(spec) >= 0)
-    lo, hi = eig.gershgorin(t)
+    (lo,), (hi,) = eig.gershgorin(*one(t.diag, t.offdiag))
     assert spec[0] >= lo - tol and spec[-1] <= hi + tol
 
 
@@ -261,11 +263,11 @@ def test_multisection_matches_one_level_below_float_spacing(r):
     diags, offs = _sampled_batch(r, 12, 13)
     n = diags.shape[1]
     big_d, big_o = 1e6 * diags, 1e6 * offs
-    lo, hi = np.array([eig.gershgorin(tri(d, o)) for d, o in zip(big_d, big_o)]).T
+    lo, hi = eig.gershgorin(big_d, big_o)
     bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
     lm = _bisect_one_level(big_d, big_o, lo, hi, n)
     assert np.all(np.abs(eig.lambda_max_batch(big_d, big_o) - lm) <= bound)
-    lo, hi = np.array([eig.gershgorin(tri(d, o)) for d, o in zip(diags, offs)]).T
+    lo, hi = eig.gershgorin(diags, offs)
     bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
     spectra = np.sort(_bisect_one_level(diags, offs, np.repeat(lo[None], n, axis=0),
                                         np.repeat(hi[None], n, axis=0), np.arange(1, n + 1)[:, None]).T, axis=1)

@@ -187,8 +187,8 @@ def test_a_failing_worker_fails_the_campaign(tmp_path, monkeypatch, capfd):
     assert not out.exists()
 
 
-def _pid_rows(task):
-    return np.full(task[3], os.getpid(), float)
+def _pid_rows(diags, offs):
+    return np.full(len(diags), os.getpid(), float)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -209,15 +209,32 @@ def test_one_worker_runs_every_chunk_in_the_campaign_process():
     assert all(np.all(cell == os.getpid()) for cell in experiments._gather(_pid_rows, cfg, cfg.n_values))
 
 
-def test_a_failing_share_fails_the_campaign(capfd):
-    # odd chunks are share 1 of 2: one child fails, the other finishes its share
-    def odd_chunks_fail(task):
-        cfg, n, start, count = task
-        if experiments._chunks(cfg.replicas, n).index((start, count)) % 2:
-            raise ArithmeticError("odd chunk")
-        return np.zeros(count)
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_statistic_gets_the_sampled_rows_in_replica_order(workers):
+    # the identity statistic returns the cell's replicas 0..129 as one
+    # sample_rows call draws them: chunks of 17 rows cut Philox blocks of 40
+    cfg = cfg_with(n_values=(50,), replicas=130, workers=workers)
+    assert 130 % block_rows(50) and experiments._chunks(130, 50)[0] == (0, 17)
+    (got,) = experiments._gather(lambda diags, offs: diags, cfg, cfg.n_values, (50,))
+    want = sampler.sample_rows(cfg.params_for(50), cfg.cell_seed(50), 0, 130)[0]
+    assert np.array_equal(got, want)
 
+
+def test_a_failing_share_fails_the_campaign(capfd, monkeypatch):
+    # odd chunks are share 1 of 2: one child fails, the other finishes its share.
+    # The stubbed sampler fills each chunk's diagonals with the chunk's index
+    def index_rows(cfg, n, start, count):
+        index = experiments._chunks(cfg.replicas, n).index((start, count))
+        return np.full((count, n), float(index)), np.zeros((count, n - 1))
+
+    def odd_chunks_fail(diags, offs):
+        if diags[0, 0] % 2:
+            raise ArithmeticError("odd chunk")
+        return np.zeros(len(diags))
+
+    monkeypatch.setattr(experiments, "_sample_block", index_rows)
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2)
+    assert [len(experiments._chunks(16, n)) for n in cfg.n_values] == [8, 8]
     with pytest.raises(RuntimeError, match="^1 of 2 campaign workers failed"):
         experiments._gather(odd_chunks_fail, cfg, cfg.n_values)
     assert capfd.readouterr().err.count("ArithmeticError: odd chunk") == 1
@@ -319,11 +336,11 @@ def test_tailbound_far_threshold_trivial():
 
 
 def test_tailbound_validation(monkeypatch):
-    # every bad grid fails before a task runs: tail --t 0 sampled and counted
-    # every replica, then failed in log_tail_bound
-    def no_task(*task):
-        raise AssertionError("a task ran")
-    monkeypatch.setattr(experiments, "_sample_block", no_task)
+    # every bad grid fails before a chunk is sampled: tail --t 0 sampled and
+    # counted every replica, then failed in log_tail_bound
+    def no_sampling(*chunk):
+        raise AssertionError("a chunk was sampled")
+    monkeypatch.setattr(experiments, "_sample_block", no_sampling)
     for t_grid in [(), (0.0,), (2.5, -1.0), (math.nan,)]:
         with pytest.raises(ValueError):
             run_tailbound_check(cfg_with(t_grid=t_grid))
