@@ -14,7 +14,12 @@ trailing size_t length.  A missing library or symbol raises RuntimeError;
 there is no other route.  Each matrix of a batch is solved on its own, so a
 row's result does not depend on what else sits in the batch.  The counts are
 one shifted LDL^T recurrence in numpy, which the tests also use to check the
-LAPACK results independently.  All routines are pure.
+LAPACK results independently.  It has no pivot guard: in IEEE arithmetic a
++0 pivot counts as "at or below" and turns the next into -inf, which the one
+after absorbs (Kahan 1966; Demmel, Dhillon & Ren, ETNA 3, 1995); a zero
+squared off-diagonal splits the matrix; the count is scale-invariant, and a
+shift within rounding of an eigenvalue is decided by the sign of the computed
+pivot, as in LAPACK's dstebz.  All routines are pure.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import os
 
 import numpy as np
 
-_EPS = float(np.finfo(float).eps)
 _LIBS_DIR = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
 _LIB_PREFIX = "libscipy_openblas64_"
 _P = ctypes.c_void_p
@@ -78,27 +82,32 @@ def counts_at_or_below(diags, offdiags, shifts) -> np.ndarray:
     shifts has shape (r,), one shift per matrix, or (k, r), k shifts per
     matrix; the counts have the shape of shifts.
 
-    Shifted LDL^T recurrence d_1 = a_1 - x, d_i = (a_i - x) - b_{i-1}^2/d_{i-1};
-    the count is the number of negative pivots.  A pivot with |d| below
-    eps_pivot = macheps * (1 + |a_i - x| + b_{i-1}^2) is replaced by
-    -eps_pivot and counted negative, so a shift exactly on an eigenvalue
-    counts it: for [[0, 1], [1, 0]] the count is 1 at x = -1 and 2 at x = 1.
+    Negated LDL^T pivots of T - x, with no guard (Kahan 1966; Demmel, Dhillon
+    & Ren, ETNA 3, 1995): q_1 = x - a_1, q_i = (x - a_i) - b_{i-1}^2/q_{i-1};
+    the count is n minus the number of q with the sign bit set.  The shift is
+    taken as x + 0.0, so -0.0 acts as +0.0, and a +0 pivot counts as "at or
+    below": the next q is -inf and the one after it sees a -0 term, so a
+    shift exactly on an eigenvalue counts it once: for [[0, 1], [1, 0]] the
+    count is 1 at x = -1 and 2 at x = 1.  Where b_{i-1}^2 is 0 (exact, or
+    underflowed) the term is 0, not 0/0: the matrix splits there.  The count
+    is exact for a matrix within a few ulps of T, entry by entry, so it is
+    scale-invariant; where x lies within rounding of an eigenvalue, the sign
+    of the computed pivot decides, as in LAPACK's dstebz.
     """
     d, e = _batch(diags, offdiags)
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if shifts.ndim not in (1, 2) or shifts.shape[-1] != d.shape[0]:
-        raise ValueError(f"need (r,) or (k, r) shifts for r = {d.shape[0]} matrices, got {shifts.shape}")
-    t = d[:, 0] - shifts
-    eps = _EPS * (1.0 + np.abs(t))
-    p = np.where(np.abs(t) < eps, -eps, t)
-    count = (p < 0).astype(np.int64)
-    for a, b2 in zip(d.T[1:], (e**2).T):
-        am = a - shifts
-        t = am - b2 / p
-        eps = _EPS * (1.0 + np.abs(am) + b2)
-        p = np.where(np.abs(t) < eps, -eps, t)
-        count += p < 0
-    return count
+    x = np.asarray(shifts, dtype=np.float64) + 0.0
+    if x.ndim not in (1, 2) or x.shape[-1] != d.shape[0]:
+        raise ValueError(f"need (r,) or (k, r) shifts for r = {d.shape[0]} matrices, got {x.shape}")
+    q, term, sign = x - d[:, 0], np.empty(x.shape), np.empty(x.shape, dtype=bool)
+    negative = np.signbit(q).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore"):  # a +0 pivot gives -inf, a tiny one may too
+        for a, b in zip(d.T[1:], e.T):
+            b2 = b * b
+            np.divide(b2, q if b2.all() else np.where(b2 != 0, q, 1.0), out=term)
+            np.subtract(x, a, out=q)
+            q -= term
+            negative += np.signbit(q, out=sign)
+    return d.shape[1] - negative
 
 
 def gershgorin(diags, offdiags) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ without underflow.  Entries are exponentiated only when the matrix is formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,8 @@ class SeededStream:
     distinct cipher keys and are non-overlapping by construction.  A stream
     instance is stateful and must not be shared across threads.  sample_matrix
     reads the pair as (cell key, replica r) and draws from the stream of r's
-    block, SeededStream(master_seed, r // B(n)); it does not consume this rng.
+    block, SeededStream(master_seed, r // B(n)); it does not consume this rng,
+    which is built on first use.
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
@@ -39,8 +41,10 @@ class SeededStream:
             raise ValueError(f"stream_index must be nonnegative, got {stream_index}")
         self.master_seed = int(master_seed) & _U64
         self.stream_index = int(stream_index)
-        key = self.master_seed + (self.stream_index << 64)
-        self.rng = np.random.Generator(np.random.Philox(key=key))
+
+    @functools.cached_property
+    def rng(self) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(key=self.master_seed + (self.stream_index << 64)))
 
     def __repr__(self):
         return f"SeededStream(master_seed={self.master_seed}, stream_index={self.stream_index})"

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +40,19 @@ def test_sturm_count_outside_gershgorin():
 
 
 def test_sturm_count_two_by_two():
-    # eigenvalues +-1; a shift exactly on an eigenvalue gives the "<= x" count
-    got = eig.counts_at_or_below(*one([0.0, 0.0], [1.0]), [[0.0], [-1.0], [1.0]])
-    assert got[:, 0].tolist() == [1, 1, 2]
-    assert eig.counts_at_or_below(*one([1.0, 2.0, 3.0], [0.0, 0.0]), [2.0])[0] == 2
+    # eigenvalues +-1; a shift exactly on an eigenvalue gives the "<= x" count.
+    # Its zero pivot divides to -inf inside the count, with no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eig.counts_at_or_below(*one([0.0, 0.0], [1.0]), [[0.0], [-1.0], [1.0]])
+        assert got[:, 0].tolist() == [1, 1, 2]
+        assert eig.counts_at_or_below(*one([1.0, 2.0, 3.0], [0.0, 0.0]), [2.0])[0] == 2
+        for off in (0.0, 1e-300):
+            assert eig.counts_at_or_below([[2.0, 1.0]], [[off]], [[1.0], [2.0]])[:, 0].tolist() == [1, 2]
+        # a subnormal pivot overflows the next term to -inf, as a zero one does
+        assert eig.counts_at_or_below([[5e-324, 0.0]], [[1.0]], [0.0]).tolist() == [1]
+    # x - a at x = -0.0, a = 0.0 is -0.0, whose sign bit would miss the eigenvalue 0
+    assert eig.counts_at_or_below([[0.0, 5.0]], [[0.0]], [-0.0]).tolist() == [1]
 
 
 def test_sturm_count_stability_at_coincident_shift():
@@ -258,8 +268,8 @@ def test_multisection_matches_one_level_below_float_spacing(r):
     # ABSTOL is below the float spacing, and dsterf must agree with a one-level
     # Sturm bisection run to adjacent doubles, to within n*eps*||T||.  lambda_max
     # is checked on the batch scaled by 1e6, where the spacing at the top
-    # exceeds ABSTOL; the spectra at unit scale, since the count's pivot guard
-    # is not scale-invariant and its bisection drifts at 1e6
+    # exceeds ABSTOL; the spectra at unit scale and at 2^-40, 1e6 and 2^40, since
+    # the count is scale-invariant
     diags, offs = _sampled_batch(r, 12, 13)
     n = diags.shape[1]
     big_d, big_o = 1e6 * diags, 1e6 * offs
@@ -267,11 +277,13 @@ def test_multisection_matches_one_level_below_float_spacing(r):
     bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
     lm = _bisect_one_level(big_d, big_o, lo, hi, n)
     assert np.all(np.abs(eig.lambda_max_batch(big_d, big_o) - lm) <= bound)
-    lo, hi = eig.gershgorin(diags, offs)
-    bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
-    spectra = np.sort(_bisect_one_level(diags, offs, np.repeat(lo[None], n, axis=0),
-                                        np.repeat(hi[None], n, axis=0), np.arange(1, n + 1)[:, None]).T, axis=1)
-    assert np.all(np.abs(eig.batch_spectra(diags, offs) - spectra) <= bound[:, None])
+    for scale in (1.0, 2.0**-40, 1e6, 2.0**40):
+        d, o = scale * diags, scale * offs
+        lo, hi = eig.gershgorin(d, o)
+        bound = n * np.finfo(float).eps * np.maximum(np.abs(lo), np.abs(hi))
+        spectra = np.sort(_bisect_one_level(d, o, np.repeat(lo[None], n, axis=0),
+                                            np.repeat(hi[None], n, axis=0), np.arange(1, n + 1)[:, None]).T, axis=1)
+        assert np.all(np.abs(eig.batch_spectra(d, o) - spectra) <= bound[:, None]), scale
 
 
 def test_missing_library_is_a_runtime_error(tmp_path, monkeypatch):

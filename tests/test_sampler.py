@@ -118,9 +118,12 @@ def test_sample_matrix_entry_construction():
 
 def test_sample_matrix_bit_identical():
     params = make_params(40, 0.2)
-    a = sample_matrix(params, SeededStream(5, 9))
+    stream = SeededStream(5, 9)
+    a = sample_matrix(params, stream)
     b = sample_matrix(params, SeededStream(5, 9))
     assert np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
+    # sample_matrix reads only the stream's address, so its generator is never built
+    assert "rng" not in vars(stream)
 
 
 def test_trace_second_moment_monte_carlo():
