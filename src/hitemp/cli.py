@@ -28,16 +28,10 @@ import numpy as np
 
 from . import __version__
 from .analytic import evaluate_rate
-from .experiments import (
-    STREAM_CONTRACT,
-    ExperimentConfig,
-    run_esd_check,
-    run_tail_sweep,
-    run_tailbound_check,
-)
+from .experiments import ExperimentConfig, run_esd_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule, make_params
 from .partition import compare_ratios
-from .sampler import SeededStream, dump_matrix, load_matrix, sample_matrix
+from .sampler import STREAM_CONTRACT, SeededStream, cell_key, dump_matrix, load_matrix, sample_matrix
 from . import eig as eigmod
 
 
@@ -290,8 +284,7 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
 
 def _cmd_sample(args) -> int:
     params = make_params(args.n, args.beta, plus_one_alpha=args.plus_one_alpha)
-    key = ExperimentConfig(RegimeSchedule.constant(args.beta), (args.n,), master_seed=args.seed).cell_seed(args.n)
-    dump_matrix(sample_matrix(params, SeededStream(key, args.stream)), args.out)
+    dump_matrix(sample_matrix(params, SeededStream(cell_key(args.seed, args.n), args.stream)), args.out)
     return 0
 
 

@@ -3,15 +3,15 @@ the trace identity, the empirical tail rate against the rate function, the
 partition-function tail bound and empirical-measure convergence, plus the
 per-replica largest eigenvalues behind the concentration at 2.
 
-Replica r of a cell is row r mod B(n) of the cell's Philox block r // B(n)
-(sampler.sample_rows), chunks are a fixed function of (replicas, n), and the
-solver treats each matrix of a batch on its own, so outputs are byte-identical
-for any worker count.  A campaign reduces a statistic fn(diags, offs): for each
-chunk of `count` replicas of size n, `_gather` samples their (count, n) and
-(count, n - 1) arrays, in replica order, and fn returns `count` rows.  Several
-workers are W forked children, one set per campaign, filling one shared buffer:
-child k runs chunks k, k + W, ...  The fields of TailRow, TailboundRow and
-EsdRow are the CLI's CSV columns.
+The seed namespace is sampler's (STREAM_CONTRACT): replica r of a cell is row
+r mod B(n) of the Philox block r // B(n) keyed by sampler.cell_key.  Chunks are
+a fixed function of (replicas, n), and the solver treats each matrix of a batch
+on its own, so outputs are byte-identical for any worker count.  A campaign
+reduces a statistic fn(diags, offs): for each chunk of `count` replicas of size
+n, `_gather` samples their (count, n) and (count, n - 1) arrays, in replica
+order, and fn returns `count` rows.  Several workers are W forked children,
+one set per campaign, filling one shared buffer: child k runs chunks k, k + W,
+...  The fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -29,17 +29,10 @@ from .analytic import energy_I, rate_J
 from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle
 from .model import EnsembleParams, RegimeSchedule, make_params
 from .partition import log_tail_bound
-from .sampler import _U64, SeededStream, sample_matrix, sample_rows
+from .sampler import SeededStream, cell_key, sample_matrix, sample_rows
 
 _CHUNK_ELEMS = 2_000_000
 _MIN_CHUNKS = 8  # worker-count independent chunk granularity
-
-# recorded in run manifests; outputs under another contract are not comparable
-STREAM_CONTRACT = (
-    "cell key = SeedSequence((master_seed mod 2^64, n)).generate_state(1, uint64)[0]; "
-    "B = max(1, 2048 // n); block b = Philox(key = cell key + b * 2^64): standard_normal((B, n)), "
-    "standard_gamma(j*beta/2 + 1) for j = n-1..1 broadcast to (B, n-1), random((B, n-1)); "
-    "replica r = row r mod B of block r // B")
 
 
 def _integer(name: str, value) -> int:
@@ -81,11 +74,7 @@ class ExperimentConfig:
         return make_params(n, self.schedule.beta(n), plus_one_alpha=self.plus_one_alpha)
 
     def cell_seed(self, n: int) -> int:
-        # a 64-bit hash of (master_seed, n); master_seed + n gave seed 1 at n=400 and
-        # seed 201 at n=200 the same key.  Called in the workers, not the campaign
-        # process: the first SeedSequence imports numpy.random, about 5.6 MB of RSS
-        seq = np.random.SeedSequence((self.master_seed & _U64, n))
-        return int(seq.generate_state(1, np.uint64)[0])
+        return cell_key(self.master_seed, n)
 
 
 class CheckResult(NamedTuple):
@@ -211,6 +200,8 @@ def run_moment_check(cfg: ExperimentConfig) -> Report:
     which hold exactly for every tridiagonal realization; the exact
     expectations are (1 + beta*(n-1)/2)/alpha and 0.
     """
+    if cfg.replicas < 2:
+        raise ValueError("moment check needs replicas >= 2 for a standard error")
     rows, checks = [], []
     for n, cell in zip(cfg.n_values, _gather(_moments, cfg, cfg.n_values, (2,))):
         params = cfg.params_for(n)

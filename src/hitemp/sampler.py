@@ -8,6 +8,10 @@ below 1, so chi variates are produced in log space: numpy's C gamma sampler
 (Marsaglia-Tsang) draws G_{k/2+1}, whose shape is at least 1, and the exact
 shape boost log G_{k/2} = log G_{k/2+1} + (2/k) log U takes it down to k/2
 without underflow.  Entries are exponentiated only when the matrix is formed.
+
+This module owns the seed namespace, STREAM_CONTRACT: the cell key of
+(master_seed, n), the cell's Philox blocks b < 2^63 (higher b are reserved) and
+replica r's address, row r mod B(n) of block r // B(n).
 """
 
 from __future__ import annotations
@@ -22,6 +26,20 @@ from .model import EnsembleParams
 
 _U64 = (1 << 64) - 1
 _SCRATCH_ELEMS = 65536  # uniforms per sub-block: a whole chunk's would raise peak RSS
+
+# recorded in run manifests; outputs under another contract are not comparable
+STREAM_CONTRACT = (
+    "cell key = SeedSequence((master_seed mod 2^64, n)).generate_state(1, uint64)[0]; "
+    "B = max(1, 2048 // n); block b = Philox(key = cell key + b * 2^64): standard_normal((B, n)), "
+    "standard_gamma(j*beta/2 + 1) for j = n-1..1 broadcast to (B, n-1), random((B, n-1)); "
+    "replica r = row r mod B of block r // B")
+
+
+def cell_key(master_seed: int, n: int) -> int:
+    """The key of cell n, a 64-bit hash of (master_seed mod 2^64, n); master_seed + n gave
+    seed 1 at n=400 and seed 201 at n=200 the same key.  Called in the workers, not the
+    campaign process: the first SeedSequence imports numpy.random, about 5.6 MB of RSS."""
+    return int(np.random.SeedSequence((master_seed & _U64, n)).generate_state(1, np.uint64)[0])
 
 
 class SeededStream:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from hitemp import cli, eig, experiments
+from hitemp import cli, eig, experiments, sampler
 from hitemp.cli import main
 from hitemp.model import RegimeSchedule
 from hitemp.sampler import load_matrix
@@ -157,7 +157,7 @@ def test_manifest_round_trip(tmp_path, capsys):
     assert meta["numpy"] == np.__version__
     assert meta["platform"] == platform.platform()
     assert meta["nproc"] == os.cpu_count()
-    assert meta["stream_contract"] == experiments.STREAM_CONTRACT
+    assert meta["stream_contract"] == sampler.STREAM_CONTRACT
     assert "SeedSequence((master_seed mod 2^64, n))" in meta["stream_contract"]
     assert "B = max(1, 2048 // n)" in meta["stream_contract"]
     assert meta["solver"] == {"lambda_max": "dstebz, RANGE='I', IL=IU=n, ABSTOL=1e-12",
@@ -192,7 +192,7 @@ def test_manifest_round_trip(tmp_path, capsys):
         assert run_cli("sweep", "--config", str(old_manifest), "--workers", "1",
                        "--out", str(out5)) == 2
         err = capsys.readouterr().err
-        assert repr(contract) in err and repr(experiments.STREAM_CONTRACT) in err
+        assert repr(contract) in err and repr(sampler.STREAM_CONTRACT) in err
         assert not out5.exists()
     # a hand-written config carries no contract and loads as before
     config.write_text(json.dumps(meta["config"]))

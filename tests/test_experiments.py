@@ -52,13 +52,13 @@ def test_cell_seeds_do_not_alias_across_campaigns():
     # master_seed + n gave seed 1 at n=400 and seed 201 at n=200 the same key,
     # hence the same first replica
     a, b = cfg_with(master_seed=1), cfg_with(master_seed=201)
-    assert a.cell_seed(400) != b.cell_seed(200)
+    assert a.cell_seed(400) == sampler.cell_key(1, 400) != sampler.cell_key(201, 200) == b.cell_seed(200)
     first_a = sample_matrix(a.params_for(400), SeededStream(a.cell_seed(400), 0))
     first_b = sample_matrix(b.params_for(200), SeededStream(b.cell_seed(200), 0))
     assert not np.array_equal(first_a.diag[:200], first_b.diag)
     assert 0 <= a.cell_seed(400) < 2**64
     # seeds are taken mod 2^64, as SeededStream takes them
-    assert cfg_with(master_seed=-1).cell_seed(50) == cfg_with(master_seed=2**64 - 1).cell_seed(50)
+    assert sampler.cell_key(-1, 50) == sampler.cell_key(2**64 - 1, 50)
 
 
 def test_sample_block_rows_are_sample_matrix():
@@ -258,6 +258,13 @@ def test_moment_check_plus_one_alpha():
     n, beta = 200, 0.1
     assert row.exact == pytest.approx((1 + beta * (n - 1) / 2) / (1 + n * beta / 2), rel=1e-12)
     assert abs(row.z_score) <= 4.0
+
+
+def test_moment_check_needs_two_replicas():
+    # one replica has no standard error: std(ddof=1) was nan, and z read 0, a pass
+    with pytest.raises(ValueError, match="replicas >= 2"):
+        run_moment_check(cfg_with(n_values=(50,), replicas=1))
+    assert all(math.isfinite(r.z_score) for r in run_moment_check(cfg_with(n_values=(50,), replicas=2)).rows)
 
 
 def test_plus_one_alpha_second_moment_tends_to_one():

@@ -7,9 +7,11 @@ from scipy.special import gammainc
 from hitemp import eig
 from hitemp.model import make_params
 from hitemp.sampler import (
+    STREAM_CONTRACT,
     SeededStream,
     TridiagonalMatrix,
     block_rows,
+    cell_key,
     dump_matrix,
     load_matrix,
     log_chi,
@@ -114,6 +116,17 @@ def test_sample_matrix_entry_construction():
     lx = log_chi(np.arange(1499, 0, -1, dtype=float) * 0.37, twin)
     assert np.array_equal(tri.diag, g / math.sqrt(params.alpha))
     assert np.array_equal(tri.offdiag, np.exp(lx - 0.5 * math.log(2 * params.alpha)))
+
+
+def test_cell_key_is_the_contracts_hash():
+    # the first clause of STREAM_CONTRACT, written out: seeds are taken mod 2^64
+    assert STREAM_CONTRACT.startswith(
+        "cell key = SeedSequence((master_seed mod 2^64, n)).generate_state(1, uint64)[0]; ")
+    for seed in (-1, 0, 2**64 - 1, 2**64 + 5):
+        for n in (2, 200, 4000):
+            key = cell_key(seed, n)
+            assert type(key) is int
+            assert key == np.random.SeedSequence((seed % 2**64, n)).generate_state(1, np.uint64)[0]
 
 
 def test_sample_matrix_bit_identical():
