@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cli, eig
 from .analytic import log_potential_semicircle, log_potential_semicircle_quad, rate_J, rate_J_quad
-from .experiments import CheckResult, ExperimentConfig, lambda_max_sample, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
+from .experiments import CheckResult, ExperimentConfig, _gather, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule
 from .partition import compare_ratios, log_Z, technical_gap
 from .quadrature import adaptive_quad
@@ -164,10 +164,13 @@ def criterion_6_convergence(workers=1, quick=False, **_) -> CheckResult:
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.1), n_values=(500, 2000), replicas=replicas,
         master_seed=60606, workers=workers)
-    fracs = {}
-    for n in cfg.n_values:
-        lam = lambda_max_sample(cfg, n)
-        fracs[n] = float(np.mean(np.abs(lam - 2.0) > 0.15))
+
+    def far_from_2(diags, offs):  # |lambda_max - 2| > 0.15: count(1.85) = n or count(2.15) < n
+        n = diags.shape[1]
+        low, high = eig.counts_at_or_below(diags, offs, np.repeat([[1.85], [2.15]], len(diags), 1))
+        return (low == n) | (high < n)
+
+    fracs = {n: float(np.mean(far)) for n, far in zip(cfg.n_values, _gather(far_from_2, cfg, cfg.n_values))}
     ok = fracs[2000] <= 0.05 and fracs[2000] <= fracs[500]
     return CheckResult("convergence in probability", ok,
                        f"frac(|lmax-2|>0.15): n=500 {fracs[500]:.3f}, n=2000 {fracs[2000]:.3f} "

@@ -1,12 +1,15 @@
 """Monte Carlo campaigns confronting simulation with the analytic statements:
 the trace identity, the empirical tail rate against the rate function, the
-partition-function tail bound and empirical-measure convergence, plus the
-per-replica largest eigenvalues behind the concentration at 2.
+partition-function tail bound and empirical-measure convergence.
 
 The seed namespace is sampler's (STREAM_CONTRACT): replica r of a cell is row
 r mod B(n) of the Philox block r // B(n) keyed by sampler.cell_key.  Chunks are
 a fixed function of (replicas, n), and the solver treats each matrix of a batch
-on its own, so outputs are byte-identical for any worker count.  A campaign
+on its own, so outputs are byte-identical for any worker count.  A cell is cut
+into a multiple of 8 near-equal chunks of whole blocks, each sampled array
+within 2^17 float64 (1 MiB), so a worker's memory does not grow with the
+replica count; a chunk of at most one block is ceil(replicas / 8) rows, so a
+campaign of up to 8 replicas runs one-replica chunks.  A campaign
 reduces a statistic fn(diags, offs): for each chunk of `count` replicas of size
 n, `_gather` samples their (count, n) and (count, n - 1) arrays, in replica
 order, and fn returns `count` rows.  Several workers are W forked children,
@@ -29,9 +32,9 @@ from .analytic import energy_I, rate_J
 from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle
 from .model import EnsembleParams, RegimeSchedule, make_params
 from .partition import log_tail_bound
-from .sampler import SeededStream, cell_key, sample_matrix, sample_rows
+from .sampler import SeededStream, block_rows, cell_key, sample_matrix, sample_rows
 
-_CHUNK_ELEMS = 2_000_000
+_CHUNK_ELEMS = 1 << 17  # float64 per sampled array of a chunk, unless it is one block
 _MIN_CHUNKS = 8  # worker-count independent chunk granularity
 
 
@@ -95,8 +98,22 @@ class Report(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _chunks(replicas: int, n: int):
-    size = max(1, min(_CHUNK_ELEMS // max(n, 1), math.ceil(replicas / _MIN_CHUNKS)))
-    return [(s, min(size, replicas - s)) for s in range(0, replicas, size)]
+    """(start, count) of each chunk of a cell, in order.  The cell's Philox blocks
+    are spread evenly over the fewest pieces, a multiple of _MIN_CHUNKS, that keep
+    each sampled array within _CHUNK_ELEMS, so no block is drawn twice and workers
+    get equal shares.  Where a piece would be at most one block, chunks are
+    ceil(replicas / pieces) rows and may cut blocks: campaigns of up to 8 replicas
+    run one-replica chunks, which perfbench traces through sample_matrix.  1 MiB
+    keeps tail_bound at 8 count calls per t; 2^16 made 16, each about 0.5 ms of
+    numpy overhead."""
+    rows = block_rows(n)
+    blocks = -(-replicas // rows)
+    pieces = _MIN_CHUNKS * -(-blocks // (_MIN_CHUNKS * max(1, _CHUNK_ELEMS // (rows * n))))
+    if replicas <= pieces * rows:
+        size = -(-replicas // pieces)
+        return [(s, min(size, replicas - s)) for s in range(0, replicas, size)]
+    edges = [min(rows * (k * blocks // pieces), replicas) for k in range(pieces + 1)]
+    return [(a, b - a) for a, b in zip(edges, edges[1:])]
 
 
 def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
@@ -138,11 +155,11 @@ def _gather(fn, cfg: ExperimentConfig, n_values, row_shape=()) -> list:
     n, rows of shape row_shape in replica order.  fn gets a chunk's (count, n) and
     (count, n - 1) arrays, sampled here, and returns `count` rows.  W = min(workers,
     chunks) forked children fill one shared buffer; child k runs chunks k, k + W, ..."""
+    list(map(cfg.params_for, n_values))  # a bad size or schedule raises here, not in a child
     cells = [[(n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
     if cfg.workers <= 1 or max(map(len, cells)) <= 1:
         return [np.concatenate([fn(*_sample_block(cfg, *chunk)) for chunk in chunks]) for chunks in cells]
     import mmap  # the one-worker path needs no shared buffer
-    list(map(cfg.params_for, n_values))  # a bad size or schedule raises here, not in a child
     chunks = [(i, chunk) for i, cell in enumerate(cells) for chunk in cell]
     shape = (len(cells), cfg.replicas, *row_shape)
     rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
@@ -169,11 +186,6 @@ def _work(fn, cfg, chunks, rows):
         sys.stderr.flush()
     finally:
         os._exit(1)
-
-
-def lambda_max_sample(cfg: ExperimentConfig, n: int) -> np.ndarray:
-    """Per-replica largest eigenvalues for one ensemble size, replica order."""
-    return _gather(eig.lambda_max_batch, cfg, (n,))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -665,8 +665,8 @@ def test_tail_output_is_independent_of_worker_count(tmp_path):
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
-@pytest.mark.parametrize("bad", [["--n", "1", "--c", "0.2"], ["--n", "40", "--c", "nan"],
-                                 ["--n", "40", "--c", "inf"]], ids=" ".join)
+@pytest.mark.parametrize("bad", [["--n", "1", "--c", "0.2"], ["--n", "0", "--c", "0.2"],
+                                 ["--n", "40", "--c", "nan"], ["--n", "40", "--c", "inf"]], ids=" ".join)
 @pytest.mark.parametrize("command", ["sweep", "tail", "esd"])
 def test_bad_sizes_and_schedules_exit_two_at_any_worker_count(tmp_path, capsys, command, bad,
                                                               workers):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,6 @@ from hitemp.analytic import energy_I, rate_J
 from hitemp.experiments import (
     ExperimentConfig,
     _sample_block,
-    lambda_max_sample,
     run_esd_check,
     run_moment_check,
     run_tail_sweep,
@@ -107,6 +107,51 @@ def test_replicas_are_independent_across_blocks():
     assert len({row.tobytes() for row in diags}) == 80
 
 
+def _chunk_rule(replicas, n):
+    """The chunks of a cell, checked: they tile [0, replicas) in order; one longer
+    than a Philox block starts and ends on block edges (or at the cell's end), so
+    no block is drawn twice, and holds at most 2^17 float64 per sampled array;
+    such chunks come in a multiple of 8 that differ by at most one block; up to
+    8 replicas make one-replica chunks."""
+    chunks, rows = experiments._chunks(replicas, n), block_rows(n)
+    ends = list(itertools.accumulate(count for _, count in chunks))
+    assert [start for start, _ in chunks] == [0] + ends[:-1] and ends[-1] == replicas
+    assert all(count > 0 for _, count in chunks)
+    for start, count in chunks:
+        if count > rows:
+            assert start % rows == 0 and ((start + count) % rows == 0 or start + count == replicas)
+            assert count * n <= 2**17
+    if max(count for _, count in chunks) > rows:
+        assert len(chunks) % 8 == 0 and all(count > rows for _, count in chunks)
+        assert max(count for _, count in chunks[:-1]) - min(count for _, count in chunks[:-1]) <= rows
+    if replicas <= 8:
+        assert chunks == [(r, 1) for r in range(replicas)]
+    return chunks
+
+
+_WORKLOAD_SHAPES = [(4000, 200), (4000, 400), (1, 2000), (1, 4000),
+                    (3, 250), (3, 1000), (3, 2000), (20000, 50)]
+_CRITERIA_SHAPES = [  # criteria 5-9, full size then quick
+    (2000, 500), (500, 500), (500, 2000), (100_000, 200), (100_000, 400), (100_000, 50),
+    (50, 250), (50, 1000), (50, 4000),
+    (200, 500), (100, 500), (100, 2000), (5000, 200), (5000, 400), (5000, 50),
+    (6, 250), (6, 1000), (6, 4000)]
+_PERFBENCH_SHAPES = [(40, 20), (40, 40), (2, 30), (2, 60), (2, 10), (2, 20), (2, 40), (40, 12)]
+
+
+def test_chunks_are_whole_blocks_within_one_mib():
+    for replicas, n in _WORKLOAD_SHAPES + _CRITERIA_SHAPES + _PERFBENCH_SHAPES:
+        _chunk_rule(replicas, n)
+    assert _chunk_rule(4001, 200)[-1] == (3500, 501)  # the last of 51 blocks is one row
+    # ldp_sweep: 8 x 500 rows at n = 200, 16 x 250 at n = 400; tail_bound: 8
+    # chunks of 62 or 63 blocks of 40, where chunks of 2,500 rows cut 4 blocks
+    assert _chunk_rule(4000, 200) == [(s, 500) for s in range(0, 4000, 500)]
+    assert _chunk_rule(4000, 400) == [(s, 250) for s in range(0, 4000, 250)]
+    assert [count for _, count in _chunk_rule(20000, 50)] == [2480, 2520] * 4
+    # edge_large_n and esd_spectra keep one-replica chunks
+    assert all(_chunk_rule(r, n) == [(s, 1) for s in range(r)] for r, n in _WORKLOAD_SHAPES[2:7])
+
+
 def test_tail_campaign_byte_identical_at_1_2_and_3_workers(tmp_path):
     # 130 replicas at n = 50: chunks of 17 rows cut Philox blocks of 40 at
     # their edges, and 130 is not a multiple of 40
@@ -117,7 +162,7 @@ def test_tail_campaign_byte_identical_at_1_2_and_3_workers(tmp_path):
                          "--t", "2.5,3", "--replicas", "130", "--seed", "5",
                          "--workers", str(workers), "--out", str(out)]) == 0
         outs.append(out.read_bytes())
-    assert 130 % block_rows(50) and experiments._chunks(130, 50)[0] == (0, 17)
+    assert 130 % block_rows(50) and _chunk_rule(130, 50)[0] == (0, 17)
     assert outs[0] == outs[1] == outs[2]
 
 
@@ -153,7 +198,7 @@ def test_one_set_of_forked_workers_per_campaign(monkeypatch):
     monkeypatch.setattr(os, "fork", counting_fork)
     # two cells of 8 chunks each share one set of min(workers, chunks) children
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2, x_grid=(2.3,), t_grid=(2.5,))
-    assert len(experiments._chunks(16, 30)) == len(experiments._chunks(16, 60)) == 8
+    assert len(_chunk_rule(16, 30)) == len(_chunk_rule(16, 60)) == 8
     rows = run_tail_sweep(cfg).rows
     assert len(forks) == 2
     report = run_tailbound_check(cfg)
@@ -163,10 +208,11 @@ def test_one_set_of_forked_workers_per_campaign(monkeypatch):
     assert len(forks) == 4
     # five workers for three chunks fork three children
     few = cfg_with(n_values=(30,), replicas=3, workers=5)
-    assert len(experiments._chunks(3, 30)) == 3
-    lam = lambda_max_sample(few, 30)
+    assert len(_chunk_rule(3, 30)) == 3
+    (lam,) = experiments._gather(eig.lambda_max_batch, few, (30,))
     assert len(forks) == 7
-    assert np.array_equal(lam, lambda_max_sample(dataclasses.replace(few, workers=1), 30))
+    (lam1,) = experiments._gather(eig.lambda_max_batch, dataclasses.replace(few, workers=1), (30,))
+    assert np.array_equal(lam, lam1)
 
 
 def test_a_failing_worker_fails_the_campaign(tmp_path, monkeypatch, capfd):
@@ -214,10 +260,26 @@ def test_a_statistic_gets_the_sampled_rows_in_replica_order(workers):
     # the identity statistic returns the cell's replicas 0..129 as one
     # sample_rows call draws them: chunks of 17 rows cut Philox blocks of 40
     cfg = cfg_with(n_values=(50,), replicas=130, workers=workers)
-    assert 130 % block_rows(50) and experiments._chunks(130, 50)[0] == (0, 17)
+    assert 130 % block_rows(50) and _chunk_rule(130, 50)[0] == (0, 17)
     (got,) = experiments._gather(lambda diags, offs: diags, cfg, cfg.n_values, (50,))
     want = sampler.sample_rows(cfg.params_for(50), cfg.cell_seed(50), 0, 130)[0]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("statistic", ["lambda_max", "tail"])
+def test_a_statistic_does_not_depend_on_the_chunk_budget(workers, statistic, monkeypatch):
+    # 2,000 replicas at n = 50, blocks of 40 rows: at the default budget the
+    # chunks are 6 or 7 blocks, at two blocks 1 or 2 blocks, at one block 36 rows
+    fn, shape = {"lambda_max": (eig.lambda_max_batch, ()),
+                 "tail": (lambda diags, offs: experiments._abs_tail(diags, offs, (2.5, 3.0)), (2,))}[statistic]
+    cfg = cfg_with(schedule=RegimeSchedule.constant(0.2), n_values=(50,), replicas=2000, workers=workers)
+    (want,) = experiments._gather(fn, cfg, cfg.n_values, shape)
+    for blocks, size in ((2, 80), (1, 36)):
+        monkeypatch.setattr(experiments, "_CHUNK_ELEMS", blocks * block_rows(50) * 50)
+        assert max(count for _, count in experiments._chunks(2000, 50)) == size
+        (got,) = experiments._gather(fn, cfg, cfg.n_values, shape)
+        assert np.array_equal(got, want)
 
 
 def test_a_failing_share_fails_the_campaign(capfd, monkeypatch):
@@ -234,7 +296,7 @@ def test_a_failing_share_fails_the_campaign(capfd, monkeypatch):
 
     monkeypatch.setattr(experiments, "_sample_block", index_rows)
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2)
-    assert [len(experiments._chunks(16, n)) for n in cfg.n_values] == [8, 8]
+    assert [len(_chunk_rule(16, n)) for n in cfg.n_values] == [8, 8]
     with pytest.raises(RuntimeError, match="^1 of 2 campaign workers failed"):
         experiments._gather(odd_chunks_fail, cfg, cfg.n_values)
     assert capfd.readouterr().err.count("ArithmeticError: odd chunk") == 1
@@ -310,8 +372,8 @@ def test_tail_sweep_validation():
 
 def test_edge_rate_is_near_zero():
     # P(lambda_max >= 2) is order one, so -log(p)/(n*beta) sits near J(2) = 0
-    lam = lambda_max_sample(cfg_with(n_values=(200,), replicas=400,
-                                     schedule=RegimeSchedule.constant(0.1)), 200)
+    cfg = cfg_with(n_values=(200,), replicas=400, schedule=RegimeSchedule.constant(0.1))
+    (lam,) = experiments._gather(eig.lambda_max_batch, cfg, (200,))
     p_edge = float(np.mean(lam >= 2.0))
     assert 0.2 <= p_edge <= 1.0
     assert -math.log(p_edge) / 20.0 <= 0.05
@@ -322,7 +384,7 @@ def test_convergence_checks():
     # with |lambda_max - 2| > eps falls in n and is nested in eps, and the
     # median moves toward 2
     cfg = cfg_with(n_values=(100, 400), replicas=300)
-    lams = [lambda_max_sample(cfg, n) for n in cfg.n_values]
+    lams = experiments._gather(eig.lambda_max_batch, cfg, cfg.n_values)
     eps_values = (0.1, 0.15, 0.2)
     fractions = [[float(np.mean(np.abs(lam - 2.0) > eps)) for eps in eps_values] for lam in lams]
     for small_n, large_n in zip(fractions[0], fractions[1]):
@@ -367,7 +429,7 @@ def test_tightness_scan_surrogate_slope():
 
 
 def test_tightness_nested_events():
-    lam = lambda_max_sample(cfg_with(replicas=2000), 100)
+    lam = experiments._gather(eig.lambda_max_batch, cfg_with(replicas=2000), (100,))[0]
     assert np.mean(lam > 3.0) <= np.mean(lam > 2.5)
 
 
@@ -384,7 +446,7 @@ def test_worker_count_invariance():
     rows1 = run_tail_sweep(cfg1).rows
     rows2 = run_tail_sweep(cfg2).rows
     assert rows1 == rows2
-    assert np.array_equal(lambda_max_sample(cfg1, 100), lambda_max_sample(cfg2, 100))
+    assert np.array_equal(*(experiments._gather(eig.lambda_max_batch, cfg, (100,))[0] for cfg in (cfg1, cfg2)))
 
 
 def test_estimator_sanity_against_doubled_run():
@@ -395,8 +457,8 @@ def test_estimator_sanity_against_doubled_run():
     for rep in range(20):
         small = cfg_with(n_values=(n,), replicas=1500, master_seed=9000 + rep)
         big = cfg_with(n_values=(n,), replicas=3000, master_seed=7500 + rep)
-        p_small = float(np.mean(lambda_max_sample(small, n) >= x))
-        p_big = float(np.mean(lambda_max_sample(big, n) >= x))
+        p_small = float(np.mean(experiments._gather(eig.lambda_max_batch, small, (n,))[0] >= x))
+        p_big = float(np.mean(experiments._gather(eig.lambda_max_batch, big, (n,))[0] >= x))
         se_small = math.sqrt(p_small * (1 - p_small) / 1500)
         se_big = math.sqrt(p_big * (1 - p_big) / 3000)
         band = 3.0 * math.sqrt(se_small**2 + se_big**2)
