@@ -62,26 +62,6 @@ def log_z2_quadrature_oracle(alpha: float, beta: float) -> float:
     return math.log(adaptive_quad(outer, -lim, lim, 1e-11))
 
 
-def log_z3_hermite_oracle(alpha: float, beta: float) -> float:
-    """log of the three-particle partition function for even integer beta
-    via tensor Gauss-Hermite, exact because |Delta|^beta is a polynomial."""
-    if beta != int(beta) or int(beta) % 2:
-        raise ValueError("Hermite oracle needs even integer beta")
-    deg = 3 * int(beta) // 2 + 2
-    nodes, weights = np.polynomial.hermite.hermgauss(deg * 2)
-    # physicists' rule integrates exp(-x^2); rescale to exp(-alpha/2 x^2)
-    scale = math.sqrt(2.0 / alpha)
-    x = nodes * scale
-    w = weights * scale
-    total = 0.0
-    for i, xi in enumerate(x):
-        for j, xj in enumerate(x):
-            d_ij = abs(xi - xj) ** beta
-            for k, xk in enumerate(x):
-                total += w[i] * w[j] * w[k] * d_ij * abs(xi - xk) ** beta * abs(xj - xk) ** beta
-    return math.log(total)
-
-
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------

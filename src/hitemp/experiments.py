@@ -36,6 +36,7 @@ from .sampler import SeededStream, block_rows, cell_key, sample_matrix, sample_r
 
 _CHUNK_ELEMS = 1 << 17  # float64 per sampled array of a chunk, unless it is one block
 _MIN_CHUNKS = 8  # worker-count independent chunk granularity
+_LOG_MAX = math.log(sys.float_info.max)  # exp of a larger log bound overflows; the bound is inf
 
 
 def _integer(name: str, value) -> int:
@@ -294,11 +295,11 @@ def run_tailbound_check(cfg: ExperimentConfig) -> Report:
             q_hat = float(col.mean())
             stderr = float(col.std(ddof=1) / math.sqrt(cfg.replicas)) if cfg.replicas > 1 else 0.0
             lb = log_tail_bound(n, params.alpha, params.beta, t)
-            ok = q_hat <= math.exp(lb) + 3.0 * stderr
+            bound = math.exp(lb) if lb <= _LOG_MAX else math.inf
+            ok = q_hat <= bound + 3.0 * stderr
             rows.append(TailboundRow(n, params.beta, t, q_hat, stderr, lb, ok))
             checks.append(CheckResult(
-                f"tail_bound_respected[n={n},t={t:g}]", ok,
-                f"q_hat={q_hat:.3g} bound={math.exp(lb):.3g}"))
+                f"tail_bound_respected[n={n},t={t:g}]", ok, f"q_hat={q_hat:.3g} bound={bound:.3g}"))
     return Report(rows, checks)
 
 

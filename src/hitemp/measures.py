@@ -17,7 +17,6 @@ from .analytic import (
     semicircle_cdf,
     semicircle_cdf_antiderivative,
 )
-from .quadrature import adaptive_quad
 
 
 @dataclass(frozen=True)
@@ -50,24 +49,11 @@ def _cdf_inverse(probs: np.ndarray, lo, hi) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def semicircle_quantile_measure(m: int) -> DiscreteMeasure:
-    """Midpoint-quantile discretization of the semicircle law.
-
-    Atoms at F^-1((j - 1/2)/m), which keeps them away from the edge-density
-    blow-up at +-2.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    probs = (np.arange(m) + 0.5) / m
-    return DiscreteMeasure(_cdf_inverse(probs, -2.0, 2.0))
-
-
-def w1_to_semicircle(mu: DiscreteMeasure, method: str = "closed_form") -> float:
+def w1_to_semicircle(mu: DiscreteMeasure) -> float:
     """L1 Wasserstein distance between mu and the semicircle law.
 
-    Exact piecewise evaluation of int |F_mu - F_sigma| dx.  The quadrature
-    method integrates every cell numerically instead and exists as a
-    cross-check / fallback.
+    Exact piecewise evaluation of int |F_mu - F_sigma| dx, in closed form on
+    each cell between atoms.
     """
     a = mu.atoms
     m = a.size
@@ -75,15 +61,6 @@ def w1_to_semicircle(mu: DiscreteMeasure, method: str = "closed_form") -> float:
     left = edges[:-1]
     right = edges[1:]
     c = np.arange(m + 1) / m
-
-    if method == "quadrature":
-        total = 0.0
-        for lo, hi, cc in zip(left, right, c):
-            if hi > lo:
-                total += adaptive_quad(lambda x, cc=cc: abs(cc - semicircle_cdf(x)), lo, hi, 1e-10)
-        return total
-    if method != "closed_form":
-        raise ValueError(f"unknown method {method!r}")
 
     # flat semicircle CDF outside [-2, 2]
     below_len = np.clip(np.minimum(right, -2.0) - left, 0.0, None)

@@ -16,7 +16,6 @@ replica r's address, row r mod B(n) of block r // B(n).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -37,21 +36,19 @@ STREAM_CONTRACT = (
 
 def cell_key(master_seed: int, n: int) -> int:
     """The key of cell n, a 64-bit hash of (master_seed mod 2^64, n); master_seed + n gave
-    seed 1 at n=400 and seed 201 at n=200 the same key.  Called in the workers, not the
-    campaign process: the first SeedSequence imports numpy.random, about 5.6 MB of RSS."""
+    seed 1 at n=400 and seed 201 at n=200 the same key.  Called where a chunk is sampled, so
+    the parent of forked workers never makes the first SeedSequence, which imports
+    numpy.random (about 5.6 MB of RSS); at one worker the campaign process samples."""
     return int(np.random.SeedSequence((master_seed & _U64, n)).generate_state(1, np.uint64)[0])
 
 
 class SeededStream:
-    """A reproducible variate stream addressed by (master_seed, stream_index).
+    """The address of one replica, (master_seed, stream_index), which
+    sample_matrix reads as (cell key, replica r).
 
-    Backed by the counter-based Philox generator keyed with the 128-bit value
-    master_seed + stream_index * 2^64, so distinct stream indices select
-    distinct cipher keys and are non-overlapping by construction.  A stream
-    instance is stateful and must not be shared across threads.  sample_matrix
-    reads the pair as (cell key, replica r) and draws from the stream of r's
-    block, SeededStream(master_seed, r // B(n)); it does not consume this rng,
-    which is built on first use.
+    It holds no generator and is never consumed: replica r is row r mod B(n)
+    of the cell's Philox block r // B(n) (STREAM_CONTRACT), drawn afresh by
+    each sample_matrix call.
     """
 
     def __init__(self, master_seed: int, stream_index: int = 0):
@@ -60,36 +57,8 @@ class SeededStream:
         self.master_seed = int(master_seed) & _U64
         self.stream_index = int(stream_index)
 
-    @functools.cached_property
-    def rng(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.master_seed + (self.stream_index << 64)))
-
     def __repr__(self):
         return f"SeededStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
-
-
-def log_chi(k, stream: SeededStream, size=None):
-    """log of a chi(k) variate, exact for every shape k > 0.
-
-    chi(k)^2 is Gamma(k/2, scale 2).  The Gamma(k/2) variate is obtained by
-    the shape boost G_a = G_{a+1} * U^(1/a) with a = k/2, taken in log space
-    so the U^(2/k) factor cannot underflow before it has to.
-    """
-    k_arr = np.asarray(k, dtype=float)
-    if np.any(k_arr <= 0) or not np.all(np.isfinite(k_arr)):
-        raise ValueError("chi requires every shape k > 0")
-    scalar = k_arr.ndim == 0 and size is None
-    if size is not None:
-        k_arr = np.broadcast_to(k_arr, (size,) if np.isscalar(size) else size)
-    elif k_arr.ndim == 0:
-        k_arr = k_arr.reshape(())
-    g_boost = stream.rng.standard_gamma(np.atleast_1d(k_arr) / 2.0 + 1.0)
-    # log U with U ~ Uniform(0,1]: log1p(-random()) never hits -inf
-    log_u = np.log1p(-stream.rng.random(g_boost.shape))
-    log_g = np.log(g_boost) + (2.0 / np.atleast_1d(k_arr)) * log_u
-    out = 0.5 * (math.log(2.0) + log_g)
-    out = out.reshape(k_arr.shape)
-    return float(out) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -127,12 +96,12 @@ def sample_rows(params: EnsembleParams, key: int, start: int, count: int):
     """Replicas start..start+count-1 of the cell keyed `key`: (diags, offdiags)
     of shapes (count, n) and (count, n-1).
 
-    Block b of the cell is the stream SeededStream(key, b).  It draws
+    Block b of the cell is the Philox stream keyed key + b * 2^64.  It draws
     standard_normal((B, n)), standard_gamma(j*beta/2 + 1) for j = n-1..1
     broadcast to (B, n-1), then random((B, n-1)); replica r is row r mod B of
     block r // B, B = block_rows(n).  Every block the range touches is drawn
     whole, so a row does not depend on the range.  Per sub-block of at most
-    _SCRATCH_ELEMS uniforms, log_chi's arithmetic runs in place, bit-identical.
+    _SCRATCH_ELEMS uniforms, the log-space chi arithmetic runs in place.
     """
     n, alpha, B = params.n, params.alpha, block_rows(params.n)
     shapes = np.arange(n - 1, 0, -1, dtype=float) * params.beta  # j*beta, j = n-1..1
@@ -168,8 +137,9 @@ def sample_rows(params: EnsembleParams, key: int, start: int, count: int):
 
 def sample_matrix(params: EnsembleParams, stream: SeededStream) -> TridiagonalMatrix:
     """Replica r = stream.stream_index of the cell keyed stream.master_seed:
-    row r mod B(n) of block r // B(n) (sample_rows).  diag[i] = g/sqrt(alpha);
-    offdiag[0..n-2] = X_{n-1},...,X_1 scaled by 1/sqrt(2*alpha), X_j ~ chi(j*beta)."""
+    row r mod B(n) of block r // B(n), drawn by sample_rows, so the same address
+    gives the same matrix every time.  diag[i] = g/sqrt(alpha); offdiag[0..n-2]
+    = X_{n-1},...,X_1 scaled by 1/sqrt(2*alpha), X_j ~ chi(j*beta)."""
     diags, offs = sample_rows(params, stream.master_seed, stream.stream_index, 1)
     return TridiagonalMatrix(diags[0], offs[0])
 

@@ -15,8 +15,8 @@ from hitemp.analytic import (
     rate_J_quad,
     semicircle_cdf,
 )
-from hitemp.measures import semicircle_quantile_measure
 from hitemp.quadrature import adaptive_quad
+from reference_oracles import semicircle_quantile_measure
 
 
 def semicircle_pdf(x):

@@ -283,6 +283,18 @@ def test_tail_subcommand_with_summary(tmp_path):
     assert len(payload["checks"]) == 2
 
 
+def test_tail_bound_beyond_the_float_range_reads_inf(tmp_path):
+    # log_bound = 1274.1: exp of it overflows a float, so the bound is inf and
+    # holds, and the campaign writes its CSV instead of raising OverflowError
+    out, summary = tmp_path / "tail.csv", tmp_path / "summary.json"
+    code = run_cli("tail", "--schedule", "const", "--c", "1", "--n", "1000", "--t", "0.5",
+                   "--replicas", "2", "--workers", "1", "--out", str(out), "--summary", str(summary))
+    assert code == 0
+    _, rows = read_csv(out)
+    assert float(rows[0][5]) > math.log(sys.float_info.max) and rows[0][6] == "true"
+    assert json.loads(summary.read_text())["checks"][0]["detail"].endswith(" bound=inf")
+
+
 def test_esd_subcommand(tmp_path):
     out = tmp_path / "esd.csv"
     code = run_cli("esd", "--schedule", "const", "--c", "0.1", "--n", "80,320",

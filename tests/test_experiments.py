@@ -17,10 +17,10 @@ from hitemp.experiments import (
     run_tail_sweep,
     run_tailbound_check,
 )
-from hitemp.measures import semicircle_quantile_measure
 from hitemp.model import RegimeSchedule, make_params
 from hitemp.partition import log_tail_bound
 from hitemp.sampler import SeededStream, block_rows, sample_matrix
+from reference_oracles import semicircle_quantile_measure
 
 
 def cfg_with(**kw):

@@ -6,14 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hitemp import eig
-from hitemp.measures import (
-    DiscreteMeasure,
-    ks_to_semicircle,
-    semicircle_quantile_measure,
-    w1_to_semicircle,
-)
+from hitemp.measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle
 from hitemp.model import make_params
 from hitemp.sampler import SeededStream, sample_matrix
+from reference_oracles import semicircle_quantile_measure, w1_quadrature
 
 
 def test_measure_sorts_input():
@@ -50,10 +46,8 @@ def test_w1_quadrature_fallback_agrees():
     rng = np.random.default_rng(4)
     mu = DiscreteMeasure(rng.normal(size=23) * 1.4)
     a = w1_to_semicircle(mu)
-    b = w1_to_semicircle(mu, method="quadrature")
+    b = w1_quadrature(mu)
     assert a == pytest.approx(b, abs=1e-7)
-    with pytest.raises(ValueError):
-        w1_to_semicircle(mu, method="nope")
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,11 +14,11 @@ from hitemp.sampler import (
     cell_key,
     dump_matrix,
     load_matrix,
-    log_chi,
     sample_matrix,
     sample_rows,
 )
 from hitemp.quadrature import adaptive_quad
+from reference_oracles import block_stream, log_chi
 
 
 def _trace_h2(tri):
@@ -27,47 +27,53 @@ def _trace_h2(tri):
 
 
 def test_gaussian_moments():
-    draws = SeededStream(11, 0).rng.standard_normal(10**6)
+    # the diagonals times sqrt(alpha) are N(0, 1): 1000 replicas of n = 1000
+    params = make_params(1000, 0.1)
+    draws = sample_rows(params, 11, 0, 1000)[0].ravel() * math.sqrt(params.alpha)
     assert abs(draws.mean()) < 4e-3          # 3-4 stderr of the mean at N=1e6
     assert abs(draws.var() - 1.0) < 6e-3     # ~3 stderr of the variance
 
 
 def test_gaussian_determinism():
-    a = SeededStream(42, 7).rng.standard_normal(100)
-    b = SeededStream(42, 7).rng.standard_normal(100)
-    assert np.array_equal(a, b)
+    params = make_params(100, 0.1)
+    a, b = sample_rows(params, 42, 7, 3), sample_rows(params, 42, 7, 3)
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_streams_differ():
-    a = SeededStream(42, 0).rng.standard_normal(100)
-    b = SeededStream(42, 1).rng.standard_normal(100)
-    assert not np.array_equal(a, b)
+    # rows of one block, the first rows of two blocks and two keys' rows differ
+    params = make_params(100, 0.1)
+    rows = block_rows(100)
+    diags = sample_rows(params, 42, 0, rows + 1)[0]
+    assert not np.array_equal(diags[0], diags[1])
+    assert not np.array_equal(diags[0], diags[rows])
+    assert not np.array_equal(diags[0], sample_rows(params, 43, 0, 1)[0][0])
 
 
 @pytest.mark.parametrize("k", [0.05, 3.0])
 def test_chi_second_moment(k):
     # E[chi(k)^2] = k
-    sq = np.exp(log_chi(k, SeededStream(12, 0), size=10**6)) ** 2
+    sq = np.exp(log_chi(k, block_stream(12, 0), size=10**6)) ** 2
     stderr = sq.std(ddof=1) / 1000.0
     assert abs(sq.mean() - k) < 3 * stderr
 
 
 def test_chi_mean_k2():
     # E[chi(2)] = sqrt(2)*Gamma(1.5)/Gamma(1) = sqrt(pi/2) = 1.2533141373155002...
-    draws = np.exp(log_chi(2.0, SeededStream(13, 0), size=10**6))
+    draws = np.exp(log_chi(2.0, block_stream(13, 0), size=10**6))
     stderr = draws.std(ddof=1) / 1000.0
     assert abs(draws.mean() - 1.2533141373155002) < 3 * stderr
 
 
 def test_chi_rejects_bad_shape():
     with pytest.raises(ValueError):
-        log_chi(0.0, SeededStream(1, 0))
+        log_chi(0.0, block_stream(1, 0))
     with pytest.raises(ValueError):
-        log_chi(-1.0, SeededStream(1, 0))
+        log_chi(-1.0, block_stream(1, 0))
 
 
 def test_chi_scalar_shape():
-    val = np.exp(log_chi(0.5, SeededStream(14, 0)))
+    val = np.exp(log_chi(0.5, block_stream(14, 0)))
     assert isinstance(val, float) and val >= 0.0
 
 
@@ -76,7 +82,7 @@ def test_chi_distribution_ks(k):
     # one-sample KS at level 1e-3 against the Gamma-based CDF
     # P(chi(k) <= t) = P(k/2, t^2/2) via the regularized incomplete gamma
     n = 10**5
-    draws = np.sort(np.exp(log_chi(k, SeededStream(15, int(k * 100)), size=n)))
+    draws = np.sort(np.exp(log_chi(k, block_stream(15, int(k * 100)), size=n)))
     cdf = gammainc(k / 2.0, draws * draws / 2.0)
     steps = np.arange(n + 1) / n
     ks = max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1]))
@@ -86,7 +92,7 @@ def test_chi_distribution_ks(k):
 
 def test_log_chi_tiny_shape_stays_finite():
     # k = 0.002 drives U^(2/k) through ~1e-300 territory; log space keeps it usable
-    lx = log_chi(0.002, SeededStream(16, 0), size=10**4)
+    lx = log_chi(0.002, block_stream(16, 0), size=10**4)
     assert np.all(np.isfinite(lx))
     assert lx.min() < -50.0  # mass genuinely piles up near zero
 
@@ -101,8 +107,8 @@ def test_sample_matrix_entry_construction():
         params = make_params(n, 0.37)
         rows = block_rows(n)
         tri = sample_matrix(params, SeededStream(77, r))
-        twin = SeededStream(77, r // rows)
-        g = twin.rng.standard_normal((rows, n))
+        twin = block_stream(77, r // rows)
+        g = twin.standard_normal((rows, n))
         lx = log_chi(np.arange(n - 1, 0, -1, dtype=float) * 0.37, twin, size=(rows, n - 1))
         assert np.array_equal(tri.diag, g[r % rows] / math.sqrt(params.alpha))
         assert np.array_equal(tri.offdiag, np.exp(lx[r % rows] - 0.5 * math.log(2 * params.alpha)))
@@ -111,8 +117,8 @@ def test_sample_matrix_entry_construction():
     params = make_params(1500, 0.37)
     assert block_rows(1500) == 1
     tri = sample_matrix(params, SeededStream(77, 3))
-    twin = SeededStream(77, 3)
-    g = twin.rng.standard_normal(1500)
+    twin = block_stream(77, 3)
+    g = twin.standard_normal(1500)
     lx = log_chi(np.arange(1499, 0, -1, dtype=float) * 0.37, twin)
     assert np.array_equal(tri.diag, g / math.sqrt(params.alpha))
     assert np.array_equal(tri.offdiag, np.exp(lx - 0.5 * math.log(2 * params.alpha)))
@@ -134,9 +140,11 @@ def test_sample_matrix_bit_identical():
     stream = SeededStream(5, 9)
     a = sample_matrix(params, stream)
     b = sample_matrix(params, SeededStream(5, 9))
+    c = sample_matrix(params, stream)
     assert np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
-    # sample_matrix reads only the stream's address, so its generator is never built
-    assert "rng" not in vars(stream)
+    # a stream is only its address: sampling neither consumes nor extends it
+    assert np.array_equal(a.diag, c.diag) and np.array_equal(a.offdiag, c.offdiag)
+    assert vars(stream) == {"master_seed": 5, "stream_index": 9}
 
 
 def test_trace_second_moment_monte_carlo():
