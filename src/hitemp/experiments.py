@@ -257,7 +257,7 @@ def run_tail_sweep(cfg: ExperimentConfig) -> Report:
             stderr = math.sqrt(p_hat * (1 - p_hat) / cfg.replicas)
             j_theory = rate_J(x)
             if p_hat > 0.0:
-                j_hat = -math.log(p_hat) / nb
+                j_hat = -math.log(p_hat) / nb + 0.0   # 0, not -0, at p_hat = 1
                 rel = (j_hat - j_theory) / j_theory
             else:
                 j_hat = math.inf   # undersampled-tail marker

@@ -715,6 +715,13 @@ def test_inf_and_nan_markers_render(tmp_path):
     _, rows = read_csv(out)
     assert rows[0][5] == "inf"   # j_hat marker at p_hat = 0
     assert rows[0][7] == "nan"   # rel_err marker
+    # every replica reaches x: -log(1) is -0.0, and the row must read 0
+    assert run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "2",
+                   "--replicas", "1", "--x", "2.5", "--seed", "4",
+                   "--workers", "1", "--out", str(out)) == 0
+    _, rows = read_csv(out)
+    assert rows[0][3:6] == ["1", "0", "0"]   # p_hat, stderr, j_hat
+    assert rows[0][7] == "-1"
 
 
 def test_rate_rows_past_overflow_are_inf_not_nan(tmp_path):

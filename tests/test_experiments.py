@@ -395,6 +395,28 @@ def test_convergence_checks():
     assert abs(meds[1] - 2.0) < abs(meds[0] - 2.0)
 
 
+def _skewness(x):
+    d = x - x.mean()
+    return float(np.mean(d**3) / np.mean(d**2) ** 1.5)
+
+
+def test_lambda_max_skewness_grows_as_beta_falls_at_fixed_n_beta(workers):
+    # At n*beta = 40 the law of lambda_max leans from Tracy-Widom (skewness
+    # 0.29 for TW_1) towards Gumbel (1.14) as beta falls. At this seed the
+    # skewness reads 0.695 +- 0.036 at (2000, 0.02) and 0.387 +- 0.048 at
+    # (100, 0.4), with bootstrap standard errors: a margin of 5.1 combined
+    # standard errors. 4,000 replicas per cell keep it above 4.
+    rng = np.random.default_rng(0)
+    skew, se = [], []
+    for n, beta in ((2000, 0.02), (100, 0.4)):
+        cfg = cfg_with(n_values=(n,), replicas=4000, schedule=RegimeSchedule.constant(beta),
+                       master_seed=11, workers=workers)
+        (lam,) = experiments._gather(eig.lambda_max_batch, cfg, cfg.n_values)
+        skew.append(_skewness(lam))
+        se.append(np.std([_skewness(lam[i]) for i in rng.integers(0, lam.size, (200, lam.size))], ddof=1))
+    assert skew[0] - skew[1] > 4.0 * math.hypot(*se)
+
+
 def test_tailbound_far_threshold_trivial():
     cfg = cfg_with(n_values=(50,), replicas=100, schedule=RegimeSchedule.constant(0.2),
                    t_grid=(3.0, 10.0))

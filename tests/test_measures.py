@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,12 +43,61 @@ def test_w1_single_atom_closed_form():
     assert w1_to_semicircle(mu) == pytest.approx(0.8488263631567751, rel=1e-12)
 
 
-def test_w1_quadrature_fallback_agrees():
-    rng = np.random.default_rng(4)
-    mu = DiscreteMeasure(rng.normal(size=23) * 1.4)
+# Each case reaches a different part of the closed form: cells reaching past -2
+# or 2, cells of length 0, and the last cell, which ends at max(a_m, 2).
+W1_CASES = {
+    "normal23": np.random.default_rng(4).normal(size=23) * 1.4,
+    "all_below": [-5.0, -3.5, -2.5, -2.1],
+    "all_above": [2.1, 2.6, 3.0, 4.2],
+    "straddles_both": [-3.0, -2.5, -1.0, 0.3, 1.9, 2.4, 3.3],
+    "ties": [-1.0, -1.0, 0.5, 0.5, 0.5, 1.2],
+    "m1": [0.7],
+    "m2": [-0.4, 2.6],
+}
+
+
+@pytest.mark.parametrize("atoms", W1_CASES.values(), ids=W1_CASES.keys())
+def test_w1_quadrature_fallback_agrees(atoms):
+    mu = DiscreteMeasure(np.asarray(atoms))
     a = w1_to_semicircle(mu)
     b = w1_quadrature(mu)
     assert a == pytest.approx(b, abs=1e-7)
+
+
+def _w1_mpmath(atoms) -> mpmath.mpf:
+    """int |F_mu - F| dx in 40 digits, cell by cell: each cell's |c - F| is
+    integrated by mp.quad, split at +-2 and at the crossing F = c, which
+    mp.findroot finds."""
+    with mpmath.workdps(40):
+        def cdf(x):
+            if x <= -2:
+                return mpmath.mpf(0)
+            if x >= 2:
+                return mpmath.mpf(1)
+            return 0.5 + x * mpmath.sqrt(4 - x * x) / (4 * mpmath.pi) + mpmath.asin(x / 2) / mpmath.pi
+
+        a = [mpmath.mpf(float(v)) for v in np.sort(atoms)]
+        edges = [min(a[0], -2)] + a + [max(a[-1], 2)]
+        total = mpmath.mpf(0)
+        for k in range(len(a) + 1):
+            lo, hi, c = edges[k], edges[k + 1], mpmath.mpf(k) / len(a)
+            if hi <= lo:
+                continue
+            cuts = [p for p in (-2, 2) if lo < p < hi]
+            if cdf(lo) < c < cdf(hi):
+                bracket = (max(lo, -2), min(hi, 2))
+                cuts.append(mpmath.findroot(lambda x: cdf(x) - c, bracket, solver="anderson"))
+            total += mpmath.quad(lambda x: abs(c - cdf(x)), [lo, *sorted(cuts), hi])
+        return total
+
+
+def test_w1_matches_40_digit_reference():
+    # 40 atoms, three below -2 and two above 2; the quadrature check above
+    # works at 1e-7 and cannot see the last digits
+    atoms = np.random.default_rng(1).normal(size=40) * 1.3
+    assert (atoms < -2).sum() == 3 and (atoms > 2).sum() == 2
+    ref = _w1_mpmath(atoms)
+    assert abs(w1_to_semicircle(DiscreteMeasure(atoms)) - ref) <= 1e-14
 
 
 @settings(max_examples=40, deadline=None)
