@@ -7,14 +7,7 @@ __version__ = "0.4.0"
 import os  # hitemp runs no threaded BLAS; OpenBLAS's idle worker thread spins 50-60 ms of CPU
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads, unless already set
 
-from .analytic import (  # noqa: F401
-    RateEvaluation,
-    energy_I,
-    evaluate_rate,
-    log_potential_semicircle,
-    rate_J,
-    semicircle_cdf,
-)
+from .analytic import energy_I, log_potential_semicircle, rate_J, semicircle_cdf  # noqa: F401
 from .eig import gershgorin  # noqa: F401
 from .experiments import ExperimentConfig  # noqa: F401
 from .measures import DiscreteMeasure, ks_to_semicircle, w1_to_semicircle  # noqa: F401

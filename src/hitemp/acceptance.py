@@ -4,8 +4,11 @@ and tolerances, plus an orchestrator that prints one PASS/FAIL line each.
 Every criterion checks an implementation against an independent route:
 closed forms against adaptive quadrature, LAPACK spectra against
 characteristic-polynomial roots, Monte Carlo against exact identities or
-analytic bounds.  Runs are seeded and deterministic for a fixed worker count
-(and, for the determinism criterion itself, across worker counts).
+analytic bounds.  The oracles of that route live here: the quadrature twins
+of the log potential and of J (criterion 1), the two-particle partition
+function by nested quadrature (criterion 2) and characteristic-polynomial
+roots (criterion 4).  Runs are seeded and deterministic for a fixed worker
+count (and, for the determinism criterion itself, across worker counts).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import time
 import numpy as np
 
 from . import cli, eig
-from .analytic import log_potential_semicircle, log_potential_semicircle_quad, rate_J, rate_J_quad
+from .analytic import log_potential_semicircle, rate_J
 from .experiments import CheckResult, ExperimentConfig, _gather, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule
 from .partition import compare_ratios, log_Z, technical_gap
@@ -46,6 +49,37 @@ def charpoly_eigenvalues(diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
         p_prev, p = p, term
     roots = np.polynomial.polynomial.polyroots(p)
     return np.sort(roots.real)
+
+
+def log_potential_semicircle_quad(x: float) -> float:
+    """Quadrature twin of analytic.log_potential_semicircle.
+
+    After y = 2 sin(theta) the integrand is log|x - 2 sin(theta)| weighted by
+    (2/pi) cos^2(theta), which absorbs the square-root edge factor; the
+    remaining log singularity at theta = asin(x/2) is handled by an explicit
+    split.
+    """
+    x = float(x)
+
+    def integrand(theta):
+        diff = x - 2.0 * math.sin(theta)
+        if diff == 0.0:
+            return 0.0  # removable in the integral; node never lands here after split
+        return math.log(abs(diff)) * (2.0 / math.pi) * math.cos(theta) ** 2
+
+    points = ()
+    if abs(x) < 2.0:
+        points = (math.asin(x / 2.0),)
+    return adaptive_quad(integrand, -math.pi / 2.0, math.pi / 2.0, 1e-11, points=points)
+
+
+def rate_J_quad(x: float) -> float:
+    """Quadrature twin of analytic.rate_J: -phi(x, sigma) - 1/2 with the
+    integral done numerically."""
+    x = float(x)
+    if x < 2.0:
+        return math.inf
+    return x * x / 4.0 - 0.5 - log_potential_semicircle_quad(x)
 
 
 def log_z2_quadrature_oracle(alpha: float, beta: float) -> float:

@@ -1,20 +1,16 @@
 """Semicircle law, logarithmic potentials, the largest-particle rate function
 and the empirical-measure energy functional.
 
-Closed forms carry the load; every one of them has a quadrature twin built on
-the substitution y = 2 sin(theta) (which absorbs the square-root edge factor)
-plus an explicit split at the logarithmic singularity.  Extended-real results
+Closed forms only; the quadrature twins of the log potential and of J, which
+criterion 1 checks them against, live in `acceptance`.  Extended-real results
 are returned as explicit +-inf markers and never fed back into arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
-
-from .quadrature import adaptive_quad
 
 
 def semicircle_cdf(x):
@@ -58,32 +54,6 @@ def log_potential_semicircle(x: float) -> float:
     return u + math.exp(-2.0 * u) / 2.0
 
 
-def log_potential_semicircle_quad(x: float) -> float:
-    """Quadrature twin of log_potential_semicircle.
-
-    After y = 2 sin(theta) the integrand is log|x - 2 sin(theta)| weighted by
-    (2/pi) cos^2(theta); the remaining log singularity at theta = asin(x/2)
-    is handled by an explicit split.
-    """
-    x = float(x)
-
-    def integrand(theta):
-        diff = x - 2.0 * math.sin(theta)
-        if diff == 0.0:
-            return 0.0  # removable in the integral; node never lands here after split
-        return math.log(abs(diff)) * (2.0 / math.pi) * math.cos(theta) ** 2
-
-    points = ()
-    if abs(x) < 2.0:
-        points = (math.asin(x / 2.0),)
-    return adaptive_quad(integrand, -math.pi / 2.0, math.pi / 2.0, 1e-11, points=points)
-
-
-def _atoms_of(mu) -> np.ndarray:
-    atoms = getattr(mu, "atoms", mu)
-    return np.asarray(atoms, dtype=float)
-
-
 _EDGE_SERIES = [math.comb(2 * k, k) * (-1) ** (k + 1) / ((2 * k - 1) * 16.0 ** k) * 3 / (2 * k + 3)
                 for k in range(27, -1, -1)]  # d_27..d_0 of rate_J's series, enough for t < 1
 
@@ -105,39 +75,6 @@ def rate_J(x: float) -> float:
     if root == math.inf:  # x^2 overflowed; J = x^2/4 - log(x) - 1/2 - O(x^-2) rounds to x^2/4
         return x * (x / 4.0)
     return x * root / 4.0 - math.log((x + root) / 2.0)
-
-
-def rate_J_quad(x: float) -> float:
-    """Quadrature twin of rate_J: -phi(x, sigma) - 1/2 with the integral done
-    numerically."""
-    x = float(x)
-    if x < 2.0:
-        return math.inf
-    return x * x / 4.0 - 0.5 - log_potential_semicircle_quad(x)
-
-
-class RateEvaluation(NamedTuple):
-    """One rate-function evaluation: location, J, phi and the method used."""
-
-    x: float
-    J: float  # +inf marker when x < 2
-    phi: float
-    method: str  # "closed_form" | "quadrature"
-
-
-def evaluate_rate(x: float, method: str = "closed_form") -> RateEvaluation:
-    """Bundle (x, J(x), phi(x, sigma)) with provenance."""
-    x = float(x)
-    if method == "closed_form":
-        j = rate_J(x)  # exactly 0 at x = 2
-        # phi = -J(|x|) - 1/2, which loses no digits to log_potential - x^2/4
-        phi_val = -0.5 - (rate_J(abs(x)) if abs(x) > 2.0 else 0.0)
-    elif method == "quadrature":
-        phi_val = log_potential_semicircle_quad(x) - x * x / 4.0
-        j = math.inf if x < 2.0 else -phi_val - 0.5
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return RateEvaluation(x=x, J=j, phi=phi_val, method=method)
 
 
 _PAIR_SCRATCH = 32768  # doubles in _offdiag_log_mean's gap buffer (256 KB)
@@ -168,17 +105,18 @@ def _offdiag_log_mean(atoms: np.ndarray) -> float:
 
 
 def energy_I(mu) -> tuple[float, float]:
-    """Empirical-measure energy functional over off-diagonal atom pairs, as
+    """Energy functional of a DiscreteMeasure over off-diagonal atom pairs, as
     the pair (normalized, paper).
 
     "paper" evaluates mean[(x^2+y^2)/2] - mean[log|x-y|]/2 - 3/8, which takes
     the value 3/4 at the semicircle law; "normalized" replaces (x^2+y^2)/2 by
-    (x^2+y^2)/8, so the semicircle sits at 0.  Both come from one sort, one
-    second moment m2 and one pair pass, and differ by (3/4)*m2.  Diagonal
-    pairs are excluded and the double sum is divided by m(m-1).  Coincident
-    atoms make the log term -inf, so both results are the +inf marker.
+    (x^2+y^2)/8, so the semicircle sits at 0.  Both come from the measure's
+    sorted atoms, one second moment m2 and one pair pass, and differ by
+    (3/4)*m2.  Diagonal pairs are excluded and the double sum is divided by
+    m(m-1).  Coincident atoms make the log term -inf, so both results are the
+    +inf marker.
     """
-    atoms = np.sort(_atoms_of(mu))
+    atoms = mu.atoms
     if atoms.size < 2:
         raise ValueError("energy_I needs a measure with at least 2 atoms")
     m2 = float(np.mean(atoms**2))

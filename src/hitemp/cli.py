@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analytic import evaluate_rate
+from .analytic import rate_J
 from .experiments import ExperimentConfig, run_esd_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule, make_params
 from .partition import compare_ratios
@@ -67,6 +67,8 @@ def _parse_grid(text: str) -> list:
         values = [float(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid {text!r} holds a value that is not a number") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"grid {text!r} holds no value")
     if not all(map(math.isfinite, values)):
         raise argparse.ArgumentTypeError(f"grid values must be finite, got {text!r}")
     if not ranged:
@@ -87,11 +89,13 @@ def _parse_grid(text: str) -> list:
 
 
 def _parse_n_list(text: str) -> list:
-    """Comma-separated integral sizes; '1e3' is 1000, '200.7' and 'abc' errors."""
+    """Comma-separated integral sizes; '1e3' is 1000, '200.7', 'abc' and ',' errors."""
     try:
         sizes = [float(p) for p in text.split(",") if p]
     except ValueError:  # 'abc' is not an integer either
         sizes = [math.nan]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"sizes must be a nonempty list, got {text!r}")
     if not all(n.is_integer() for n in sizes):
         raise argparse.ArgumentTypeError(f"sizes must be integers, got {text!r}")
     return [int(n) for n in sizes]
@@ -250,9 +254,8 @@ def _add_eig_args(sp):
 
 
 def _add_rate_args(sp):
-    sp.add_argument("--x", type=_parse_grid, required=True)
-    sp.add_argument("--method", choices=["closed_form", "quadrature"], default="closed_form")
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--x", type=_parse_grid, required=True, help="x grid 'a:step:b' or comma list")
+    sp.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
 
 def _add_partition_args(sp):
@@ -295,8 +298,9 @@ def _cmd_eig(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    evs = [evaluate_rate(x, method=args.method) for x in args.x]
-    _write_csv(args.out, ["x", "J", "phi"], [[ev.x, ev.J, ev.phi] for ev in evs])
+    # phi = -J(|x|) - 1/2, which loses no digits to log_potential_semicircle(x) - x^2/4
+    rows = [[x, rate_J(x), -0.5 - (rate_J(abs(x)) if abs(x) > 2.0 else 0.0)] for x in args.x]
+    _write_csv(args.out, ["x", "J", "phi"], rows)
     return 0
 
 
@@ -337,7 +341,7 @@ Command = collections.namedtuple("Command", "name help add_arguments handler")
 COMMANDS = {cmd.name: cmd for cmd in (
     Command("sample", "emit one tridiagonal matrix dump", _add_sample_args, _cmd_sample),
     Command("eig", "spectrum of a dumped matrix, one eigenvalue per line", _add_eig_args, _cmd_eig),
-    Command("rate", "rate-function table over an x grid", _add_rate_args, _cmd_rate),
+    Command("rate", "closed-form rate J(x) and phi(x, semicircle) over an x grid", _add_rate_args, _cmd_rate),
     Command("partition", "partition-ratio comparison sweep", _add_partition_args, _cmd_partition),
     Command("tail", "largest-particle tail bound check",
             lambda sp: _add_experiment_flags(sp, "--t"),

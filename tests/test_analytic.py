@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 
 from hitemp import analytic
-from hitemp.analytic import (
-    energy_I,
-    evaluate_rate,
-    log_potential_semicircle,
-    log_potential_semicircle_quad,
-    rate_J,
-    rate_J_quad,
-    semicircle_cdf,
-)
+from hitemp.acceptance import log_potential_semicircle_quad, rate_J_quad
+from hitemp.analytic import energy_I, log_potential_semicircle, rate_J, semicircle_cdf
+from hitemp.measures import DiscreteMeasure
 from hitemp.quadrature import adaptive_quad
 from reference_oracles import semicircle_quantile_measure
 
@@ -69,10 +63,6 @@ def test_log_potential_grid_agreement():
         assert abs(log_potential_semicircle(x) - log_potential_semicircle_quad(x)) <= 1e-8
 
 
-def test_phi_semicircle_at_edge():
-    assert evaluate_rate(2.0).phi == pytest.approx(-0.5, abs=1e-15)
-
-
 def test_rate_j_edge_and_divergence():
     assert rate_J(2.0) == 0.0
     assert rate_J(1.9) == math.inf
@@ -116,7 +106,6 @@ def test_rate_j_overflows_to_inf_not_nan():
     # x*x overflowed, and inf - log(inf) gave nan
     assert rate_J(2.6e154) == pytest.approx(1.69e308, rel=1e-15)  # x^2 overflows, J does not
     assert rate_J(2.7e154) == rate_J(1e200) == rate_J(1.7e308) == math.inf
-    assert evaluate_rate(1e200).phi == evaluate_rate(-1e200).phi == -math.inf
 
 
 def test_log_potential_against_mpmath_up_to_1e300():
@@ -133,23 +122,6 @@ def test_rate_j_strictly_increasing_and_nonnegative():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_phi_semicircle_strictly_decreasing_past_edge():
-    grid = np.linspace(2.0, 10.0, 60)
-    vals = [evaluate_rate(x).phi for x in grid]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_evaluate_rate_provenance():
-    ev_c = evaluate_rate(2.5, "closed_form")
-    ev_q = evaluate_rate(2.5, "quadrature")
-    assert ev_c.method == "closed_form" and ev_q.method == "quadrature"
-    assert ev_c.J == pytest.approx(ev_q.J, abs=1e-8)
-    assert ev_c.J == pytest.approx(-ev_c.phi - 0.5, abs=1e-14)
-    assert evaluate_rate(1.0).J == math.inf
-    with pytest.raises(ValueError):
-        evaluate_rate(2.5, "guesswork")
-
-
 def test_energy_normalized_vanishes_at_semicircle_discretization():
     mu = semicircle_quantile_measure(2000)
     assert abs(energy_I(mu)[0]) <= 5e-3
@@ -163,14 +135,14 @@ def test_energy_paper_variant_offset_at_semicircle():
 
 def test_energy_two_atoms():
     # 2/8 - log(2)/2 - 3/8 = -0.47157359027997265...
-    val = energy_I(np.array([-1.0, 1.0]))[0]
+    val = energy_I(DiscreteMeasure(np.array([-1.0, 1.0])))[0]
     assert val == pytest.approx(-0.4715735902799727, rel=1e-14)
 
 
 def test_energy_validation_and_markers():
     with pytest.raises(ValueError):
-        energy_I(np.array([0.5]))
-    assert energy_I(np.array([1.0, 1.0])) == (math.inf, math.inf)
+        energy_I(DiscreteMeasure(np.array([0.5])))
+    assert energy_I(DiscreteMeasure(np.array([1.0, 1.0]))) == (math.inf, math.inf)
 
 
 def _dense_log_mean(atoms):
@@ -204,9 +176,9 @@ def test_offdiag_log_mean_matches_dense_pair_sum(m, scratch, monkeypatch):
     assert abs(want) > 0.05
     got = analytic._offdiag_log_mean(np.sort(atoms))
     assert got == pytest.approx(want, rel=1e-13)
-    # energy_I sorts unsorted input itself
+    # DiscreteMeasure sorts the unsorted atoms for energy_I
     m2 = float(np.mean(atoms**2))
-    normalized, paper = energy_I(atoms)
+    normalized, paper = energy_I(DiscreteMeasure(atoms))
     assert normalized == pytest.approx(m2 / 4.0 - 0.5 * want - 0.375, rel=1e-13)
     assert paper == pytest.approx(m2 - 0.5 * want - 0.375, rel=1e-13)
 
@@ -221,7 +193,7 @@ def test_offdiag_log_mean_coincident_atoms_are_the_inf_marker(where):
     shuffled = np.random.default_rng(6).permutation(atoms)
     with np.errstate(all="raise"):  # the marker comes before any log(0)
         assert analytic._offdiag_log_mean(atoms) == -math.inf
-        assert energy_I(shuffled) == (math.inf, math.inf)
+        assert energy_I(DiscreteMeasure(shuffled)) == (math.inf, math.inf)
 
 
 def test_offdiag_log_mean_memory_stays_at_the_scratch_buffer():

@@ -49,11 +49,54 @@ def test_rate_grid(tmp_path):
         assert float(row[1]) == pytest.approx(-float(row[2]) - 0.5, abs=1e-12)
 
 
-def test_rate_quadrature_method(tmp_path):
-    out = tmp_path / "rate_q.csv"
-    assert run_cli("rate", "--x", "2.5,3", "--method", "quadrature", "--out", str(out)) == 0
-    _, rows = read_csv(out)
-    assert float(rows[1][1]) == pytest.approx(0.7146273330056354, abs=1e-8)
+# the table as of 0.4.0: phi = -1/2 at the edge, -inf once J overflows, and
+# J = x^2/4 where x^2 overflows but J does not
+RATE_TABLE = (
+    "x,J,phi\n"
+    "2,0,-0.5\n"
+    "2.5,0.24435281944005469,-0.74435281944005471\n"
+    "-3,inf,-1.2146273330056354\n"
+    "9.9999999999999997e+199,inf,-inf\n"
+    "-9.9999999999999997e+199,inf,-inf\n"
+    "2.0000000999999998,2.108185117414991e-11,-0.5000000000210818\n"
+    "-1.5,inf,-0.5\n"
+    "2.5999999999999999e+154,1.6899999999999998e+308,-1.6899999999999998e+308\n"
+)
+
+
+def test_rate_table_keeps_its_bytes(tmp_path):
+    out = tmp_path / "rate.csv"
+    assert run_cli("rate", "--x=2,2.5,-3,1e200,-1e200,2.0000001,-1.5,2.6e154", "--out", str(out)) == 0
+    assert out.read_bytes() == RATE_TABLE.encode("ascii")
+
+
+def test_rate_phi_strictly_decreasing_past_edge(tmp_path):
+    out = tmp_path / "rate.csv"
+    assert run_cli("rate", "--x", "2:0.1:10", "--out", str(out)) == 0
+    phi = [float(row[2]) for row in read_csv(out)[1]]
+    assert len(phi) == 81 and all(b < a for a, b in zip(phi, phi[1:]))
+
+
+_CAMPAIGN = ["--schedule", "const", "--c", "0.1", "--replicas", "4", "--workers", "1"]
+
+
+@pytest.mark.parametrize("value", [",", ""], ids=["comma", "empty"])
+@pytest.mark.parametrize("argv, flag", [
+    (["rate"], "--x"),
+    (["partition", "--schedule", "const", "--c", "0.1"], "--n"),
+    (["sweep", *_CAMPAIGN, "--n", "30"], "--x"),
+    (["tail", *_CAMPAIGN, "--n", "30"], "--t"),
+    (["esd", *_CAMPAIGN], "--n"),
+], ids=["rate", "partition", "sweep", "tail", "esd"])
+def test_empty_grids_and_size_lists_are_usage_errors(tmp_path, capsys, argv, flag, value):
+    # refused before any output: a header-only CSV would read as an empty success
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, flag, value, "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and repr(value) in err
+    assert not out.exists()
 
 
 def test_partition_rows(tmp_path):
@@ -562,6 +605,17 @@ def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
     assert (tmp_path / "tail.csv").read_text().count("\n") == 2
 
 
+def test_importing_the_cli_loads_no_oracle():
+    # the oracles (GK15 quadrature, the acceptance criteria) load only for
+    # `hitemp check`; every other start would compile them and import heapq
+    code = "import sys, hitemp.cli\nprint(sorted({'hitemp.quadrature', 'hitemp.acceptance'} & set(sys.modules)))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("key, value", [
     ("replicas", None), ("n_values", 30), ("n_values", [None]), ("x_grid", 2.3), ("t_grid", [True]),
     ("schedule", 5), ("schedule", None), ("schedule", {"name": "c", "kind": "constant", "c": None}),
@@ -636,9 +690,9 @@ def test_config_errors_name_the_missing_key(tmp_path, capsys, monkeypatch):
     assert "schedule lacks key(s) 'kind'" in capsys.readouterr().err
 
     # a KeyError inside a handler is a bug, not a usage error
-    def broken(x, method):
+    def broken(x):
         raise KeyError("internal")
-    monkeypatch.setattr(cli, "evaluate_rate", broken)
+    monkeypatch.setattr(cli, "rate_J", broken)
     with pytest.raises(KeyError):
         run_cli("rate", "--x", "2.5")
 
