@@ -184,7 +184,7 @@ def criterion_6_convergence(workers=1, quick=False, **_) -> CheckResult:
         low, high = eig.counts_at_or_below(diags, offs, np.repeat([[1.85], [2.15]], len(diags), 1))
         return (low == n) | (high < n)
 
-    fracs = {n: float(np.mean(far)) for n, far in zip(cfg.n_values, _gather(far_from_2, cfg, cfg.n_values))}
+    fracs = {n: float(np.mean(far)) for n, far in zip(cfg.n_values, _gather(far_from_2, cfg))}
     ok = fracs[2000] <= 0.05 and fracs[2000] <= fracs[500]
     return CheckResult("convergence in probability", ok,
                        f"frac(|lmax-2|>0.15): n=500 {fracs[500]:.3f}, n=2000 {fracs[2000]:.3f} "

@@ -4,7 +4,7 @@ ratio sweeps and the Monte Carlo experiments, with stable CSV output formats.
 Each subcommand is one entry of the command table COMMANDS.  `main` builds the
 parser of the invoked subcommand alone, and of all of them for help or a bad name.
 Campaign flags have ExperimentConfig's field names as dest.  Precedence: a given
-flag, the --config file, ExperimentConfig's defaults; workers: flag, config, HITEMP_WORKERS, cores.
+flag, the --config file, ExperimentConfig's defaults.
 
 All CSV output is locale-independent: '.' decimal separator, '\\n' line
 endings, 17 significant digits.  Infinite markers render as 'inf'/'-inf',
@@ -101,18 +101,6 @@ def _parse_n_list(text: str) -> list:
     return [int(n) for n in sizes]
 
 
-def _resolve_workers(value) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("HITEMP_WORKERS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"HITEMP_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
-
-
 # each --schedule name: its RegimeSchedule kind and exponent, or the flag that holds it
 _SCHEDULES = {"invlogsq": ("inverse_log_power", 2.0), "invlog": ("inverse_log_power", "p"),
               "power": ("power_decay", "gamma"), "const": ("constant", 0.0)}
@@ -175,7 +163,7 @@ def _experiment_config(args) -> ExperimentConfig:
     fields["schedule"] = _schedule_from_args(args, config)
     if "n_values" not in fields:
         raise ValueError("--n is required")
-    return ExperimentConfig(**dict(fields, workers=_resolve_workers(fields.get("workers"))))
+    return ExperimentConfig(**fields)
 
 
 def _write_manifest(path, cfg: ExperimentConfig, outputs: list) -> None:
@@ -227,7 +215,7 @@ def _add_experiment_flags(sp, grid=None, summary=True):
                     help="comma list of ensemble sizes")
     sp.add_argument("--replicas", type=int)
     sp.add_argument("--seed", dest="master_seed", metavar="SEED", type=int, help="master seed")
-    sp.add_argument("--workers", type=int, help="worker processes (env HITEMP_WORKERS, then core count)")
+    sp.add_argument("--workers", type=int, help="worker processes (default: the core count)")
     sp.add_argument("--plus-one-alpha", action="store_true", help="use alpha = 1 + n*beta/2")
     sp.add_argument("--config", help="JSON config file or run manifest (flags > config > defaults)")
     sp.add_argument("--out", help="CSV output path (default stdout)")
@@ -265,7 +253,8 @@ def _add_partition_args(sp):
 
 
 def _add_check_args(sp):
-    sp.add_argument("--workers", type=int, default=None)
+    sp.add_argument("--workers", type=int, default=ExperimentConfig.workers,
+                    help="worker processes (default: the core count)")
     sp.add_argument("--quick", action="store_true",
                     help="reduced replica counts; smoke mode, not the official gate")
 
@@ -328,10 +317,9 @@ def _cmd_campaign(args, run) -> int:
 def _cmd_check(args) -> int:
     from .acceptance import run_all
 
-    workers = _resolve_workers(args.workers)
-    if workers < 1:  # before criterion 1 runs, not at criterion 5's config
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    results = run_all(workers, quick=args.quick, log=print)
+    if args.workers < 1:  # before criterion 1 runs, not at criterion 5's config
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    results = run_all(args.workers, quick=args.quick, log=print)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -363,7 +351,7 @@ def main(argv=None) -> int:
     args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return COMMANDS[args.command].handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"hitemp: error: {exc}", file=sys.stderr)
         return 2
 

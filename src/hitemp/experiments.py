@@ -9,11 +9,11 @@ on its own, so outputs are byte-identical for any worker count.  A cell is cut
 into a multiple of 8 near-equal chunks of whole blocks, each sampled array
 within 2^17 float64 (1 MiB), so a worker's memory does not grow with the
 replica count; a chunk of at most one block is ceil(replicas / 8) rows, so a
-campaign of up to 8 replicas runs one-replica chunks.  A campaign
-reduces a statistic fn(diags, offs): for each chunk of `count` replicas of size
-n, `_gather` samples their (count, n) and (count, n - 1) arrays, in replica
-order, and fn returns `count` rows.  Several workers are W forked children,
-one set per campaign, filling one shared buffer: child k runs chunks k, k + W,
+campaign of up to 8 replicas runs one-replica chunks.  A campaign reduces a
+statistic fn(diags, offs): for each chunk of `count` replicas of each n of
+cfg.n_values, `_gather(fn, cfg)` samples their (count, n) and (count, n - 1)
+arrays, in replica order, and fn returns `count` rows.  W workers are W forked
+children per campaign, filling one shared buffer: child k runs chunks k, k + W,
 ...  The fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
 """
 
@@ -48,7 +48,8 @@ def _integer(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One Monte Carlo campaign; its fields and defaults are the CLI's config keys and defaults."""
+    """One Monte Carlo campaign; its fields and defaults are the CLI's config keys and
+    defaults.  Every cell's parameters are built at construction: a bad n or schedule raises."""
 
     schedule: RegimeSchedule
     n_values: tuple
@@ -56,7 +57,7 @@ class ExperimentConfig:
     x_grid: tuple = ()
     t_grid: tuple = ()
     master_seed: int = 20260101
-    workers: int = 1
+    workers: int = os.cpu_count() or 1
     plus_one_alpha: bool = False
 
     def __post_init__(self):
@@ -73,6 +74,7 @@ class ExperimentConfig:
             raise ValueError("workers must be >= 1")
         if not self.n_values:
             raise ValueError("n_values must be nonempty")
+        list(map(self.params_for, self.n_values))
 
     def params_for(self, n: int) -> EnsembleParams:
         return make_params(n, self.schedule.beta(n), plus_one_alpha=self.plus_one_alpha)
@@ -151,13 +153,12 @@ def _measure_stats(diags, offs):
     return out
 
 
-def _gather(fn, cfg: ExperimentConfig, n_values, row_shape=()) -> list:
-    """fn(diags, offs) over the replica chunks of each n in n_values: one array per
-    n, rows of shape row_shape in replica order.  fn gets a chunk's (count, n) and
-    (count, n - 1) arrays, sampled here, and returns `count` rows.  W = min(workers,
+def _gather(fn, cfg: ExperimentConfig, row_shape=()) -> list:
+    """fn(diags, offs) over the replica chunks of each n of cfg.n_values: one array
+    per n, rows of shape row_shape in replica order.  fn gets a chunk's (count, n)
+    and (count, n - 1) arrays, sampled here, and returns `count` rows.  W = min(workers,
     chunks) forked children fill one shared buffer; child k runs chunks k, k + W, ..."""
-    list(map(cfg.params_for, n_values))  # a bad size or schedule raises here, not in a child
-    cells = [[(n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in n_values]
+    cells = [[(n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in cfg.n_values]
     if cfg.workers <= 1 or max(map(len, cells)) <= 1:
         return [np.concatenate([fn(*_sample_block(cfg, *chunk)) for chunk in chunks]) for chunks in cells]
     import mmap  # the one-worker path needs no shared buffer
@@ -216,7 +217,7 @@ def run_moment_check(cfg: ExperimentConfig) -> Report:
     if cfg.replicas < 2:
         raise ValueError("moment check needs replicas >= 2 for a standard error")
     rows, checks = [], []
-    for n, cell in zip(cfg.n_values, _gather(_moments, cfg, cfg.n_values, (2,))):
+    for n, cell in zip(cfg.n_values, _gather(_moments, cfg, (2,))):
         params = cfg.params_for(n)
         second = (1.0 + params.beta * (n - 1) / 2.0) / params.alpha
         for moment, vals, exact, name in ((2, cell[:, 0], second, "second"), (1, cell[:, 1], 0.0, "first")):
@@ -249,7 +250,7 @@ def run_tail_sweep(cfg: ExperimentConfig) -> Report:
     if any(x <= 2.0 for x in cfg.x_grid):
         raise ValueError("x_grid values must exceed the bulk edge 2")
     rows = []
-    for n, lam in zip(cfg.n_values, _gather(eig.lambda_max_batch, cfg, cfg.n_values)):
+    for n, lam in zip(cfg.n_values, _gather(eig.lambda_max_batch, cfg)):
         beta = cfg.schedule.beta(n)
         nb = n * beta
         for x in cfg.x_grid:
@@ -287,7 +288,7 @@ def run_tailbound_check(cfg: ExperimentConfig) -> Report:
     if not all(t > 0.0 for t in cfg.t_grid):
         raise ValueError("t_grid values must be positive")
     rows, checks = [], []
-    tails = _gather(lambda diags, offs: _abs_tail(diags, offs, cfg.t_grid), cfg, cfg.n_values, (len(cfg.t_grid),))
+    tails = _gather(lambda diags, offs: _abs_tail(diags, offs, cfg.t_grid), cfg, (len(cfg.t_grid),))
     for n, fracs in zip(cfg.n_values, tails):
         params = cfg.params_for(n)
         for j, t in enumerate(cfg.t_grid):
@@ -315,7 +316,7 @@ class EsdRow(NamedTuple):
 def run_esd_check(cfg: ExperimentConfig) -> Report:
     """Empirical-spectral-measure convergence diagnostics along the schedule."""
     rows = []
-    for n, stats in zip(cfg.n_values, _gather(_measure_stats, cfg, cfg.n_values, (4,))):
+    for n, stats in zip(cfg.n_values, _gather(_measure_stats, cfg, (4,))):
         params = cfg.params_for(n)
         rows.append(EsdRow(
             n, params.beta,

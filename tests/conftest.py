@@ -1,11 +1,8 @@
-import os
-
 import pytest
+
+from hitemp.experiments import ExperimentConfig
 
 
 @pytest.fixture(scope="session")
 def workers() -> int:
-    env = os.environ.get("HITEMP_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(2, os.cpu_count() or 1))
+    return max(1, min(2, ExperimentConfig.workers))

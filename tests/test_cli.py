@@ -736,7 +736,7 @@ def test_tail_output_is_independent_of_worker_count(tmp_path):
 @pytest.mark.parametrize("command", ["sweep", "tail", "esd"])
 def test_bad_sizes_and_schedules_exit_two_at_any_worker_count(tmp_path, capsys, command, bad,
                                                               workers):
-    # the parent checks every cell's parameters before it forks, so the
+    # ExperimentConfig builds every cell's parameters before any fork, so the
     # ValueError is a usage error there too, not a failed worker
     grid = {"sweep": ["--x", "2.3"], "tail": ["--t", "2.5"], "esd": []}[command]
     out = tmp_path / "out.csv"
@@ -746,19 +746,52 @@ def test_bad_sizes_and_schedules_exit_two_at_any_worker_count(tmp_path, capsys, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag, env", [(["--workers", "0"], None), (["--workers", "-1"], None),
-                                       ([], "0"), ([], "two")], ids=repr)
-def test_check_rejects_a_bad_worker_count_before_any_criterion(capsys, monkeypatch, flag, env):
+@pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers", "-1"]], ids=repr)
+def test_check_rejects_a_bad_worker_count_before_any_criterion(capsys, flag):
     # --workers 0 ran on every core through run_all's `workers or cpu_count`,
     # and --workers -1 failed only at criterion 5, after criteria 1-4 had run
-    monkeypatch.delenv("HITEMP_WORKERS", raising=False)
-    if env is not None:
-        monkeypatch.setenv("HITEMP_WORKERS", env)
     assert run_cli("check", "--quick", *flag) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert ("HITEMP_WORKERS must be an integer, got 'two'" if env == "two"
-            else "workers must be >= 1") in captured.err
+    assert "workers must be >= 1" in captured.err
+
+
+# the program's worker variable, which once stood between --workers and the core count
+OLD_WORKERS_ENV = cli._build_parser().prog.upper() + "_WORKERS"
+
+
+def test_the_cli_defaults_are_the_config_defaults(monkeypatch):
+    # workers included: the CLI has no default of its own
+    monkeypatch.delenv(OLD_WORKERS_ENV, raising=False)
+    args = cli._build_parser("sweep").parse_args(
+        ["sweep", "--schedule", "const", "--c", "0.1", "--n", "30", "--x", "2.3"])
+    assert cli._experiment_config(args) == experiments.ExperimentConfig(
+        schedule=RegimeSchedule.constant(0.1), n_values=(30,), x_grid=(2.3,))
+
+
+def test_check_defaults_to_the_config_worker_count():
+    assert cli._build_parser("check").parse_args(["check"]).workers == experiments.ExperimentConfig.workers
+
+
+def test_no_environment_variable_sets_the_worker_count(tmp_path, monkeypatch):
+    monkeypatch.setenv(OLD_WORKERS_ENV, str(experiments.ExperimentConfig.workers + 1))
+    manifest = tmp_path / "run.json"
+    assert run_cli("sweep", "--schedule", "const", "--c", "0.1", "--n", "30", "--x", "2.3",
+                   "--replicas", "16", "--out", str(tmp_path / "sweep.csv"), "--manifest", str(manifest)) == 0
+    assert json.loads(manifest.read_text())["config"]["workers"] == experiments.ExperimentConfig.workers
+
+
+@pytest.mark.parametrize("write", [lambda p: p.write_text('{"n_values": [30'),
+                                   lambda p: p.write_bytes(b'\xff\xfe{"n_values": [30]}'),
+                                   lambda p: p.mkdir()], ids=["truncated", "not utf-8", "directory"])
+def test_an_unreadable_config_is_a_usage_error(tmp_path, capsys, write):
+    config, out, manifest = tmp_path / "cfg.json", tmp_path / "out.csv", tmp_path / "run.json"
+    write(config)
+    assert run_cli("sweep", "--config", str(config), "--schedule", "const", "--c", "0.1",
+                   "--n", "30", "--x", "2.3", "--replicas", "16", "--workers", "1",
+                   "--out", str(out), "--manifest", str(manifest)) == 2
+    assert "hitemp: error:" in capsys.readouterr().err
+    assert not out.exists() and not manifest.exists()
 
 
 def test_inf_and_nan_markers_render(tmp_path):

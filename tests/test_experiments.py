@@ -37,6 +37,11 @@ def test_config_validation():
         cfg_with(workers=0)
     with pytest.raises(ValueError):
         cfg_with(n_values=())
+    # every cell's parameters are built at construction, before any _gather
+    with pytest.raises(ValueError, match="n >= 2, got 1"):
+        ExperimentConfig(schedule=RegimeSchedule.constant(0.1), n_values=(30, 1))
+    with pytest.raises(ValueError, match="beta must be a positive finite real, got 0.0"):
+        ExperimentConfig(schedule=RegimeSchedule("power_decay", 1e-320, 0.9), n_values=(10**6,))
 
 
 def test_config_round_trip(tmp_path):
@@ -209,9 +214,9 @@ def test_one_set_of_forked_workers_per_campaign(monkeypatch):
     # five workers for three chunks fork three children
     few = cfg_with(n_values=(30,), replicas=3, workers=5)
     assert len(_chunk_rule(3, 30)) == 3
-    (lam,) = experiments._gather(eig.lambda_max_batch, few, (30,))
+    (lam,) = experiments._gather(eig.lambda_max_batch, few)
     assert len(forks) == 7
-    (lam1,) = experiments._gather(eig.lambda_max_batch, dataclasses.replace(few, workers=1), (30,))
+    (lam1,) = experiments._gather(eig.lambda_max_batch, dataclasses.replace(few, workers=1))
     assert np.array_equal(lam, lam1)
 
 
@@ -241,7 +246,7 @@ def _pid_rows(diags, offs):
 def test_each_forked_worker_runs_a_fixed_share_of_the_chunks(workers):
     # chunk j of all cells' chunks in turn runs in child j mod W, however long each chunk takes
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=workers)
-    cells = experiments._gather(_pid_rows, cfg, cfg.n_values)
+    cells = experiments._gather(_pid_rows, cfg)
     chunks = [(cell, s, c) for cell, n in enumerate(cfg.n_values) for s, c in experiments._chunks(16, n)]
     assert len(chunks) == 16
     pids = [cells[cell][s] for cell, s, _ in chunks[:workers]]
@@ -252,7 +257,7 @@ def test_each_forked_worker_runs_a_fixed_share_of_the_chunks(workers):
 
 def test_one_worker_runs_every_chunk_in_the_campaign_process():
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=1)
-    assert all(np.all(cell == os.getpid()) for cell in experiments._gather(_pid_rows, cfg, cfg.n_values))
+    assert all(np.all(cell == os.getpid()) for cell in experiments._gather(_pid_rows, cfg))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -261,7 +266,7 @@ def test_a_statistic_gets_the_sampled_rows_in_replica_order(workers):
     # sample_rows call draws them: chunks of 17 rows cut Philox blocks of 40
     cfg = cfg_with(n_values=(50,), replicas=130, workers=workers)
     assert 130 % block_rows(50) and _chunk_rule(130, 50)[0] == (0, 17)
-    (got,) = experiments._gather(lambda diags, offs: diags, cfg, cfg.n_values, (50,))
+    (got,) = experiments._gather(lambda diags, offs: diags, cfg, (50,))
     want = sampler.sample_rows(cfg.params_for(50), cfg.cell_seed(50), 0, 130)[0]
     assert np.array_equal(got, want)
 
@@ -274,11 +279,11 @@ def test_a_statistic_does_not_depend_on_the_chunk_budget(workers, statistic, mon
     fn, shape = {"lambda_max": (eig.lambda_max_batch, ()),
                  "tail": (lambda diags, offs: experiments._abs_tail(diags, offs, (2.5, 3.0)), (2,))}[statistic]
     cfg = cfg_with(schedule=RegimeSchedule.constant(0.2), n_values=(50,), replicas=2000, workers=workers)
-    (want,) = experiments._gather(fn, cfg, cfg.n_values, shape)
+    (want,) = experiments._gather(fn, cfg, shape)
     for blocks, size in ((2, 80), (1, 36)):
         monkeypatch.setattr(experiments, "_CHUNK_ELEMS", blocks * block_rows(50) * 50)
         assert max(count for _, count in experiments._chunks(2000, 50)) == size
-        (got,) = experiments._gather(fn, cfg, cfg.n_values, shape)
+        (got,) = experiments._gather(fn, cfg, shape)
         assert np.array_equal(got, want)
 
 
@@ -298,7 +303,7 @@ def test_a_failing_share_fails_the_campaign(capfd, monkeypatch):
     cfg = cfg_with(n_values=(30, 60), replicas=16, workers=2)
     assert [len(_chunk_rule(16, n)) for n in cfg.n_values] == [8, 8]
     with pytest.raises(RuntimeError, match="^1 of 2 campaign workers failed"):
-        experiments._gather(odd_chunks_fail, cfg, cfg.n_values)
+        experiments._gather(odd_chunks_fail, cfg)
     assert capfd.readouterr().err.count("ArithmeticError: odd chunk") == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -373,7 +378,7 @@ def test_tail_sweep_validation():
 def test_edge_rate_is_near_zero():
     # P(lambda_max >= 2) is order one, so -log(p)/(n*beta) sits near J(2) = 0
     cfg = cfg_with(n_values=(200,), replicas=400, schedule=RegimeSchedule.constant(0.1))
-    (lam,) = experiments._gather(eig.lambda_max_batch, cfg, (200,))
+    (lam,) = experiments._gather(eig.lambda_max_batch, cfg)
     p_edge = float(np.mean(lam >= 2.0))
     assert 0.2 <= p_edge <= 1.0
     assert -math.log(p_edge) / 20.0 <= 0.05
@@ -384,7 +389,7 @@ def test_convergence_checks():
     # with |lambda_max - 2| > eps falls in n and is nested in eps, and the
     # median moves toward 2
     cfg = cfg_with(n_values=(100, 400), replicas=300)
-    lams = experiments._gather(eig.lambda_max_batch, cfg, cfg.n_values)
+    lams = experiments._gather(eig.lambda_max_batch, cfg)
     eps_values = (0.1, 0.15, 0.2)
     fractions = [[float(np.mean(np.abs(lam - 2.0) > eps)) for eps in eps_values] for lam in lams]
     for small_n, large_n in zip(fractions[0], fractions[1]):
@@ -411,7 +416,7 @@ def test_lambda_max_skewness_grows_as_beta_falls_at_fixed_n_beta(workers):
     for n, beta in ((2000, 0.02), (100, 0.4)):
         cfg = cfg_with(n_values=(n,), replicas=4000, schedule=RegimeSchedule.constant(beta),
                        master_seed=11, workers=workers)
-        (lam,) = experiments._gather(eig.lambda_max_batch, cfg, cfg.n_values)
+        (lam,) = experiments._gather(eig.lambda_max_batch, cfg)
         skew.append(_skewness(lam))
         se.append(np.std([_skewness(lam[i]) for i in rng.integers(0, lam.size, (200, lam.size))], ddof=1))
     assert skew[0] - skew[1] > 4.0 * math.hypot(*se)
@@ -451,7 +456,7 @@ def test_tightness_scan_surrogate_slope():
 
 
 def test_tightness_nested_events():
-    lam = experiments._gather(eig.lambda_max_batch, cfg_with(replicas=2000), (100,))[0]
+    lam = experiments._gather(eig.lambda_max_batch, cfg_with(replicas=2000))[0]
     assert np.mean(lam > 3.0) <= np.mean(lam > 2.5)
 
 
@@ -468,7 +473,7 @@ def test_worker_count_invariance():
     rows1 = run_tail_sweep(cfg1).rows
     rows2 = run_tail_sweep(cfg2).rows
     assert rows1 == rows2
-    assert np.array_equal(*(experiments._gather(eig.lambda_max_batch, cfg, (100,))[0] for cfg in (cfg1, cfg2)))
+    assert np.array_equal(*(experiments._gather(eig.lambda_max_batch, cfg)[0] for cfg in (cfg1, cfg2)))
 
 
 def test_estimator_sanity_against_doubled_run():
@@ -479,8 +484,8 @@ def test_estimator_sanity_against_doubled_run():
     for rep in range(20):
         small = cfg_with(n_values=(n,), replicas=1500, master_seed=9000 + rep)
         big = cfg_with(n_values=(n,), replicas=3000, master_seed=7500 + rep)
-        p_small = float(np.mean(experiments._gather(eig.lambda_max_batch, small, (n,))[0] >= x))
-        p_big = float(np.mean(experiments._gather(eig.lambda_max_batch, big, (n,))[0] >= x))
+        p_small = float(np.mean(experiments._gather(eig.lambda_max_batch, small)[0] >= x))
+        p_big = float(np.mean(experiments._gather(eig.lambda_max_batch, big)[0] >= x))
         se_small = math.sqrt(p_small * (1 - p_small) / 1500)
         se_big = math.sqrt(p_big * (1 - p_big) / 3000)
         band = 3.0 * math.sqrt(se_small**2 + se_big**2)
