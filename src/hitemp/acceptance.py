@@ -7,8 +7,8 @@ characteristic-polynomial roots, Monte Carlo against exact identities or
 analytic bounds.  The oracles of that route live here: the quadrature twins
 of the log potential and of J (criterion 1), the two-particle partition
 function by nested quadrature (criterion 2) and characteristic-polynomial
-roots (criterion 4).  Runs are seeded and deterministic for a fixed worker
-count (and, for the determinism criterion itself, across worker counts).
+roots (criterion 4).  Runs are seeded and do not depend on the worker count,
+which defaults to ExperimentConfig.workers; criterion 10 checks 1 against 2.
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ def criterion_4_eigensolver_oracle(**_) -> CheckResult:
                        f"{count_mismatches} Sturm count mismatches over 1000 shifts")
 
 
-def criterion_5_trace_identity(workers=1, quick=False, **_) -> CheckResult:
+def criterion_5_trace_identity(workers=ExperimentConfig.workers, quick=False, **_) -> CheckResult:
     replicas = 200 if quick else 2000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(500,), replicas=replicas,
@@ -173,7 +173,7 @@ def criterion_5_trace_identity(workers=1, quick=False, **_) -> CheckResult:
                        f"(|z| <= 4, {replicas} replicas)")
 
 
-def criterion_6_convergence(workers=1, quick=False, **_) -> CheckResult:
+def criterion_6_convergence(workers=ExperimentConfig.workers, quick=False, **_) -> CheckResult:
     replicas = 100 if quick else 500
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.1), n_values=(500, 2000), replicas=replicas,
@@ -191,7 +191,7 @@ def criterion_6_convergence(workers=1, quick=False, **_) -> CheckResult:
                        f"(<= 0.05 and monotone)")
 
 
-def criterion_7_ldp_rate(workers=1, quick=False, **_) -> CheckResult:
+def criterion_7_ldp_rate(workers=ExperimentConfig.workers, quick=False, **_) -> CheckResult:
     replicas = 5000 if quick else 100_000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(200, 400), replicas=replicas,
@@ -206,7 +206,7 @@ def criterion_7_ldp_rate(workers=1, quick=False, **_) -> CheckResult:
                        f"n=400 {by_n[400].j_hat:.4f}; |err| shrinks: {err400 < err200}")
 
 
-def criterion_8_tail_bound(workers=1, quick=False, **_) -> CheckResult:
+def criterion_8_tail_bound(workers=ExperimentConfig.workers, quick=False, **_) -> CheckResult:
     replicas = 5000 if quick else 100_000
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.2), n_values=(50,), replicas=replicas,
@@ -218,7 +218,7 @@ def criterion_8_tail_bound(workers=1, quick=False, **_) -> CheckResult:
     return CheckResult("tail-bound validity", ok, detail)
 
 
-def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CheckResult:
+def criterion_9_esd_convergence(workers=ExperimentConfig.workers, quick=False, **_) -> CheckResult:
     replicas = 6 if quick else 50
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.1), n_values=(250, 1000, 4000), replicas=replicas,
@@ -232,7 +232,7 @@ def criterion_9_esd_convergence(workers=1, quick=False, **_) -> CheckResult:
                        f"energy(normalized) at n=4000 {energy:.4f} (|.| <= 0.02)")
 
 
-def criterion_10_property_suite(workers=1, quick=False, **_) -> CheckResult:
+def criterion_10_property_suite(quick=False, **_) -> CheckResult:
     rng = np.random.Generator(np.random.Philox(key=101010))
 
     triples = 10_000 if quick else 100_000
@@ -284,7 +284,7 @@ _CRITERIA = (
 )
 
 
-def run_all(workers: int = 1, quick: bool = False, log=None) -> list:
+def run_all(workers: int = ExperimentConfig.workers, quick: bool = False, log=None) -> list:
     """Run all criteria in order, optionally logging one line per criterion."""
     results = []
     for index, fn in enumerate(_CRITERIA, 1):

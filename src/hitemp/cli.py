@@ -231,7 +231,8 @@ def _add_sample_args(sp):
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--seed", type=int, default=ExperimentConfig.master_seed, help="master seed, as a campaign's")
-    sp.add_argument("--stream", type=int, default=0, help="replica index r: a campaign's replica r at this --seed and --n")
+    sp.add_argument("--stream", type=int, default=0, help="replica index r: a campaign's replica r at this "
+                    "--seed and --n, 0 <= r < B(n) * 2^63 with B(n) = max(1, 2048 // n)")
     sp.add_argument("--plus-one-alpha", action="store_true")
     sp.add_argument("--out", required=True, help="dump file path")
 

@@ -9,12 +9,12 @@ on its own, so outputs are byte-identical for any worker count.  A cell is cut
 into a multiple of 8 near-equal chunks of whole blocks, each sampled array
 within 2^17 float64 (1 MiB), so a worker's memory does not grow with the
 replica count; a chunk of at most one block is ceil(replicas / 8) rows, so a
-campaign of up to 8 replicas runs one-replica chunks.  A campaign reduces a
-statistic fn(diags, offs): for each chunk of `count` replicas of each n of
-cfg.n_values, `_gather(fn, cfg)` samples their (count, n) and (count, n - 1)
-arrays, in replica order, and fn returns `count` rows.  W workers are W forked
-children per campaign, filling one shared buffer: child k runs chunks k, k + W,
-...  The fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
+campaign of up to 8 replicas runs one-replica chunks.  `_gather` reduces a
+statistic fn(diags, offs) of each chunk's (count, n) and (count, n - 1) arrays
+in one loop that writes its `count` rows, float64 of row_shape, in replica order:
+at W = min(workers, chunks) = 1 in the campaign process, else in W forked
+children over one shared buffer, child k running chunks k, k + W, ...  The
+fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -154,18 +154,15 @@ def _measure_stats(diags, offs):
 
 
 def _gather(fn, cfg: ExperimentConfig, row_shape=()) -> list:
-    """fn(diags, offs) over the replica chunks of each n of cfg.n_values: one array
-    per n, rows of shape row_shape in replica order.  fn gets a chunk's (count, n)
-    and (count, n - 1) arrays, sampled here, and returns `count` rows.  W = min(workers,
-    chunks) forked children fill one shared buffer; child k runs chunks k, k + W, ..."""
-    cells = [[(n, s, c) for s, c in _chunks(cfg.replicas, n)] for n in cfg.n_values]
-    if cfg.workers <= 1 or max(map(len, cells)) <= 1:
-        return [np.concatenate([fn(*_sample_block(cfg, *chunk)) for chunk in chunks]) for chunks in cells]
+    """fn(diags, offs) of each chunk's (count, n) and (count, n - 1) arrays, `count` rows, for
+    each n of cfg.n_values: one float64 array per n, rows of row_shape in replica order.  _fill
+    writes them: at W = min(workers, chunks) = 1 here, else in W children over a shared buffer."""
+    chunks = [(i, n, s, c) for i, n in enumerate(cfg.n_values) for s, c in _chunks(cfg.replicas, n)]
+    shape, w = (len(cfg.n_values), cfg.replicas, *row_shape), min(cfg.workers, len(chunks))
+    if w == 1:
+        return list(_fill(fn, cfg, chunks, np.empty(shape)))
     import mmap  # the one-worker path needs no shared buffer
-    chunks = [(i, chunk) for i, cell in enumerate(cells) for chunk in cell]
-    shape = (len(cells), cfg.replicas, *row_shape)
-    rows = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape)
-    w, pids = min(cfg.workers, len(chunks)), []
+    rows, pids = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape), []
     try:
         for k in range(w):
             pids.append(os.fork() or _work(fn, cfg, chunks[k::w], rows))  # a child never returns
@@ -176,11 +173,17 @@ def _gather(fn, cfg: ExperimentConfig, row_shape=()) -> list:
     return list(rows)
 
 
+def _fill(fn, cfg, chunks, rows):
+    """Writes fn's rows of each chunk (i, n, start, count) to rows[i, start:start + count]."""
+    for i, n, start, count in chunks:
+        rows[i, start:start + count] = fn(*_sample_block(cfg, n, start, count))
+    return rows
+
+
 def _work(fn, cfg, chunks, rows):
-    """A forked child: runs its share of the chunks; leaves only by os._exit."""
+    """A forked child: fills its share of the chunks; leaves only by os._exit."""
     try:
-        for i, (n, start, count) in chunks:
-            rows[i, start:start + count] = fn(*_sample_block(cfg, n, start, count))
+        _fill(fn, cfg, chunks, rows)
         os._exit(0)
     except BaseException:
         import traceback

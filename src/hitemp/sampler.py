@@ -10,14 +10,16 @@ shape boost log G_{k/2} = log G_{k/2+1} + (2/k) log U takes it down to k/2
 without underflow.  Entries are exponentiated only when the matrix is formed.
 
 This module owns the seed namespace, STREAM_CONTRACT: the cell key of
-(master_seed, n), the cell's Philox blocks b < 2^63 (higher b are reserved) and
-replica r's address, row r mod B(n) of block r // B(n).
+(master_seed, n), the cell's Philox blocks b < 2^63 (sample_rows, the one place
+that keys a block, refuses higher b) and replica r's address, row r mod B(n) of
+block r // B(n).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,23 +44,13 @@ def cell_key(master_seed: int, n: int) -> int:
     return int(np.random.SeedSequence((master_seed & _U64, n)).generate_state(1, np.uint64)[0])
 
 
-class SeededStream:
-    """The address of one replica, (master_seed, stream_index), which
-    sample_matrix reads as (cell key, replica r).
+class SeededStream(NamedTuple):
+    """The address of one replica, (master_seed, stream_index), which sample_matrix reads as
+    (cell key, replica r): row r mod B(n) of Philox block r // B(n) (STREAM_CONTRACT), drawn
+    afresh by each call; it holds no generator.  sample_rows masks the key, refuses b >= 2^63."""
 
-    It holds no generator and is never consumed: replica r is row r mod B(n)
-    of the cell's Philox block r // B(n) (STREAM_CONTRACT), drawn afresh by
-    each sample_matrix call.
-    """
-
-    def __init__(self, master_seed: int, stream_index: int = 0):
-        if stream_index < 0:
-            raise ValueError(f"stream_index must be nonnegative, got {stream_index}")
-        self.master_seed = int(master_seed) & _U64
-        self.stream_index = int(stream_index)
-
-    def __repr__(self):
-        return f"SeededStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
+    master_seed: int
+    stream_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -93,8 +85,8 @@ def block_rows(n: int) -> int:
 
 
 def sample_rows(params: EnsembleParams, key: int, start: int, count: int):
-    """Replicas start..start+count-1 of the cell keyed `key`: (diags, offdiags)
-    of shapes (count, n) and (count, n-1).
+    """Replicas start..start+count-1 of the cell keyed `key`, (diags, offdiags) of shapes
+    (count, n) and (count, n-1); a replica below 0 or past block 2^63 - 1 is a ValueError.
 
     Block b of the cell is the Philox stream keyed key + b * 2^64.  It draws
     standard_normal((B, n)), standard_gamma(j*beta/2 + 1) for j = n-1..1
@@ -104,6 +96,8 @@ def sample_rows(params: EnsembleParams, key: int, start: int, count: int):
     _SCRATCH_ELEMS uniforms, the log-space chi arithmetic runs in place.
     """
     n, alpha, B = params.n, params.alpha, block_rows(params.n)
+    if start < 0 or start + count > B << 63:
+        raise ValueError(f"replicas {start}..{start + count - 1} must lie in 0..{(B << 63) - 1}, blocks b < 2^63 of {B} rows")
     shapes = np.arange(n - 1, 0, -1, dtype=float) * params.beta  # j*beta, j = n-1..1
     boost = shapes / 2.0 + 1.0
     first = start // B

@@ -7,6 +7,7 @@ and fails the suite if its criterion does not hold.
 import pytest
 
 from hitemp import acceptance
+from hitemp.experiments import ExperimentConfig, MomentRow, Report
 
 
 def _run(fn, workers):
@@ -62,3 +63,16 @@ def test_criterion_10_fails_on_a_non_zero_exit_code(monkeypatch):
     result = acceptance.criterion_10_property_suite(quick=True)
     assert result.passed is False
     assert result.detail.endswith("; sweep exit codes [1, 1] (not 0)")
+
+
+def test_campaign_criteria_default_to_the_config_worker_count(monkeypatch):
+    # criteria 5-9 and run_all defaulted to one worker, a campaign to the core count
+    configs = []
+
+    def recording_moment_check(cfg):
+        configs.append(cfg)
+        return Report([MomentRow(500, 2, 0.05, 12.5, 1.0, 1.0, 1.0, 0.0)], [])
+
+    monkeypatch.setattr(acceptance, "run_moment_check", recording_moment_check)
+    assert acceptance.criterion_5_trace_identity(quick=True).passed is True
+    assert [cfg.workers for cfg in configs] == [ExperimentConfig.workers]

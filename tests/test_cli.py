@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import platform
 import subprocess
 import sys
@@ -122,6 +123,20 @@ def test_sample_dumps_the_campaign_replica(tmp_path, n):
     diags, offs = experiments._sample_block(cfg, n, 0, 4)
     tri = load_matrix(dump)
     assert np.array_equal(tri.diag, diags[3]) and np.array_equal(tri.offdiag, offs[3])
+
+
+@pytest.mark.parametrize("n", [50, 3000])
+@pytest.mark.parametrize("replica, code", [(lambda b: b * 2**63 - 1, 0), (lambda b: b * 2**63, 2),
+                                           (lambda b: b * 2**64, 2), (lambda b: -1, 2)],
+                         ids=["last", "block 2^63", "block 2^64", "-1"])
+def test_sample_refuses_a_replica_outside_blocks_below_2_63(tmp_path, capsys, n, replica, code):
+    # replica r is in block r // B(n), B(50) = 40, B(3000) = 1.  Block 2^63 was
+    # drawn, and block 2^64 ended in an OverflowError traceback and exit 1
+    dump = tmp_path / "m.txt"
+    stream = replica(sampler.block_rows(n))
+    assert run_cli("sample", "--n", str(n), "--beta", "0.1", f"--stream={stream}", "--out", str(dump)) == code
+    assert dump.exists() == (code == 0)
+    assert ("hitemp: error:" in capsys.readouterr().err) == (code == 2)
 
 
 def test_sample_then_eig_round_trip(tmp_path):
@@ -603,6 +618,12 @@ def test_parallel_campaign_keeps_numpy_random_out_of_the_parent(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "tail.csv").read_text().count("\n") == 2
+
+
+def test_src_stays_within_the_line_budget():
+    # ROADMAP aim 2: the same behaviour with less code, src/ at most 2,055 lines
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "hitemp"
+    assert sum(len(path.read_text(encoding="utf-8").splitlines()) for path in src.glob("*.py")) <= 2055
 
 
 def test_importing_the_cli_loads_no_oracle():

@@ -287,6 +287,21 @@ def test_a_statistic_does_not_depend_on_the_chunk_budget(workers, statistic, mon
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_statistic_comes_back_as_float64_rows_at_any_worker_count(workers):
+    # criterion 6's far_from_2 form returns bool; one worker concatenated it as bool
+    cfg = cfg_with(n_values=(30, 60), replicas=16, workers=workers)
+    cells = experiments._gather(lambda diags, offs: eig.lambda_max_batch(diags, offs) > 2.0, cfg)
+    assert [(cell.dtype, cell.shape) for cell in cells] == [(np.float64, (16,))] * 2
+
+
+@pytest.mark.parametrize("workers, error", [(1, ValueError), (2, RuntimeError)])
+def test_rows_that_are_not_of_row_shape_fail_at_any_worker_count(workers, error):
+    # _moments returns two columns per replica; one worker concatenated them unchecked
+    with pytest.raises(error):
+        experiments._gather(experiments._moments, cfg_with(n_values=(30,), replicas=16, workers=workers))
+
+
 def test_a_failing_share_fails_the_campaign(capfd, monkeypatch):
     # odd chunks are share 1 of 2: one child fails, the other finishes its share.
     # The stubbed sampler fills each chunk's diagonals with the chunk's index

@@ -144,7 +144,7 @@ def test_sample_matrix_bit_identical():
     assert np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
     # a stream is only its address: sampling neither consumes nor extends it
     assert np.array_equal(a.diag, c.diag) and np.array_equal(a.offdiag, c.offdiag)
-    assert vars(stream) == {"master_seed": 5, "stream_index": 9}
+    assert stream._asdict() == {"master_seed": 5, "stream_index": 9}
 
 
 def test_trace_second_moment_monte_carlo():
