@@ -7,8 +7,10 @@ characteristic-polynomial roots, Monte Carlo against exact identities or
 analytic bounds.  The oracles of that route live here: the quadrature twins
 of the log potential and of J (criterion 1), the two-particle partition
 function by nested quadrature (criterion 2) and characteristic-polynomial
-roots (criterion 4).  Runs are seeded and do not depend on the worker count,
-which defaults to ExperimentConfig.workers; criterion 10 checks 1 against 2.
+roots (criterion 4).  Criteria 5 and 6 gather their one statistic each with
+experiments._gather; 7-9 run the CLI's campaigns.  Runs are seeded and do not
+depend on the worker count, which defaults to ExperimentConfig.workers;
+criterion 10 checks 1 against 2.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import cli, eig
 from .analytic import log_potential_semicircle, rate_J
-from .experiments import CheckResult, ExperimentConfig, _gather, run_esd_check, run_moment_check, run_tail_sweep, run_tailbound_check
+from .experiments import CheckResult, ExperimentConfig, _gather, run_esd_check, run_tail_sweep, run_tailbound_check
 from .model import RegimeSchedule
 from .partition import compare_ratios, log_Z, technical_gap
 from .quadrature import adaptive_quad
@@ -166,11 +168,17 @@ def criterion_5_trace_identity(workers=ExperimentConfig.workers, quick=False, **
     cfg = ExperimentConfig(
         schedule=RegimeSchedule.constant(0.05), n_values=(500,), replicas=replicas,
         master_seed=50505, workers=workers)
-    row = next(r for r in run_moment_check(cfg).rows if r.moment == 2)
-    ok = abs(row.z_score) <= 4.0
-    return CheckResult("trace identity Monte Carlo", ok,
-                       f"mean={row.mean:.6f} exact={row.exact:.6f} z={row.z_score:.2f} "
-                       f"(|z| <= 4, {replicas} replicas)")
+
+    def second_moment(diags, offs):  # (1/n) sum lambda_i^2 = (sum d^2 + 2 sum e^2)/n, exactly
+        return (np.sum(diags**2, axis=1) + 2.0 * np.sum(offs**2, axis=1)) / diags.shape[1]
+
+    (vals,) = _gather(second_moment, cfg)
+    params = cfg.params_for(500)
+    exact = (1.0 + params.beta * (500 - 1) / 2.0) / params.alpha  # Dumitriu & Edelman 2002
+    mean, stderr = float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(replicas))
+    z = (mean - exact) / stderr
+    return CheckResult("trace identity Monte Carlo", abs(z) <= 4.0,
+                       f"mean={mean:.6f} exact={exact:.6f} z={z:.2f} (|z| <= 4, {replicas} replicas)")
 
 
 def criterion_6_convergence(workers=ExperimentConfig.workers, quick=False, **_) -> CheckResult:

@@ -16,9 +16,8 @@ import numpy as np
 def semicircle_cdf(x):
     """Distribution function: 1/2 + x*sqrt(4-x^2)/(4*pi) + asin(x/2)/pi."""
     x = np.asarray(x, dtype=float)
-    xc = np.clip(x, -2.0, 2.0)
+    xc = np.clip(x, -2.0, 2.0)  # the formula is exactly 0.0 at -2 and 1.0 at 2
     out = 0.5 + xc * np.sqrt(4.0 - xc**2) / (4.0 * math.pi) + np.arcsin(xc / 2.0) / math.pi
-    out = np.where(x <= -2.0, 0.0, np.where(x >= 2.0, 1.0, out))
     return float(out) if out.ndim == 0 else out
 
 

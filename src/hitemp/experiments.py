@@ -1,6 +1,7 @@
-"""Monte Carlo campaigns confronting simulation with the analytic statements:
-the trace identity, the empirical tail rate against the rate function, the
-partition-function tail bound and empirical-measure convergence.
+"""Monte Carlo campaigns confronting simulation with the analytic statements,
+one runner per CLI command that writes its rows: the empirical tail rate
+against the rate function, the partition-function tail bound and
+empirical-measure convergence.  A check of one statistic gathers it itself.
 
 The seed namespace is sampler's (STREAM_CONTRACT): replica r of a cell is row
 r mod B(n) of the Philox block r // B(n) keyed by sampler.cell_key.  Chunks are
@@ -13,8 +14,9 @@ campaign of up to 8 replicas runs one-replica chunks.  `_gather` reduces a
 statistic fn(diags, offs) of each chunk's (count, n) and (count, n - 1) arrays
 in one loop that writes its `count` rows, float64 of row_shape, in replica order:
 at W = min(workers, chunks) = 1 in the campaign process, else in W forked
-children over one shared buffer, child k running chunks k, k + W, ...  The
-fields of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
+children over one shared buffer, child k running chunks k, k + W, ...  An
+exception in fn fails the campaign with a RuntimeError at any W.  The fields
+of TailRow, TailboundRow and EsdRow are the CLI's CSV columns.
 """
 
 from __future__ import annotations
@@ -129,13 +131,6 @@ def _sample_block(cfg: ExperimentConfig, n: int, start: int, count: int):
     return sample_rows(params, seed, start, count)
 
 
-def _moments(diags, offs):
-    """Per replica, (1/n) sum lambda_i^2 by the trace identity and
-    (1/n) sum lambda_i = (1/n) trace, as two columns."""
-    second = (np.sum(diags**2, axis=1) + 2.0 * np.sum(offs**2, axis=1)) / diags.shape[1]
-    return np.column_stack((second, np.mean(diags, axis=1)))
-
-
 def _abs_tail(diags, offs, t_grid):
     """Per replica, #{i: |lambda_i| >= t}/n for each t of t_grid, as columns."""
     return np.column_stack([eig.counts_abs_at_or_above(diags, offs, t) / diags.shape[1] for t in t_grid])
@@ -156,11 +151,15 @@ def _measure_stats(diags, offs):
 def _gather(fn, cfg: ExperimentConfig, row_shape=()) -> list:
     """fn(diags, offs) of each chunk's (count, n) and (count, n - 1) arrays, `count` rows, for
     each n of cfg.n_values: one float64 array per n, rows of row_shape in replica order.  _fill
-    writes them: at W = min(workers, chunks) = 1 here, else in W children over a shared buffer."""
+    writes them: at W = min(workers, chunks) = 1 here, else in W children over a shared buffer.
+    A fault in any worker, this process's one included, is a RuntimeError."""
     chunks = [(i, n, s, c) for i, n in enumerate(cfg.n_values) for s, c in _chunks(cfg.replicas, n)]
     shape, w = (len(cfg.n_values), cfg.replicas, *row_shape), min(cfg.workers, len(chunks))
     if w == 1:
-        return list(_fill(fn, cfg, chunks, np.empty(shape)))
+        try:
+            return list(_fill(fn, cfg, chunks, np.empty(shape)))
+        except Exception as exc:  # not a usage error: main's exit 2 would hide it
+            raise RuntimeError("1 of 1 campaign workers failed; see the traceback above") from exc
     import mmap  # the one-worker path needs no shared buffer
     rows, pids = np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), np.float64).reshape(shape), []
     try:
@@ -196,42 +195,6 @@ def _work(fn, cfg, chunks, rows):
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
-
-class MomentRow(NamedTuple):
-    n: int
-    moment: int  # 2: (1/n) sum lambda_i^2; 1: (1/n) sum lambda_i, exact 0
-    beta: float
-    alpha: float
-    mean: float
-    stderr: float
-    exact: float
-    z_score: float
-
-
-def run_moment_check(cfg: ExperimentConfig) -> Report:
-    """Compare the Monte Carlo means of (1/n) sum lambda_i^2 and (1/n) sum
-    lambda_i with their exact values: per n, a moment-2 row, then a moment-1 row.
-
-    The per-replica statistics are evaluated through the trace identities
-    sum lambda^2 = sum diag^2 + 2 sum offdiag^2 and sum lambda = sum diag,
-    which hold exactly for every tridiagonal realization; the exact
-    expectations are (1 + beta*(n-1)/2)/alpha and 0.
-    """
-    if cfg.replicas < 2:
-        raise ValueError("moment check needs replicas >= 2 for a standard error")
-    rows, checks = [], []
-    for n, cell in zip(cfg.n_values, _gather(_moments, cfg, (2,))):
-        params = cfg.params_for(n)
-        second = (1.0 + params.beta * (n - 1) / 2.0) / params.alpha
-        for moment, vals, exact, name in ((2, cell[:, 0], second, "second"), (1, cell[:, 1], 0.0, "first")):
-            mean = float(vals.mean())
-            stderr = float(vals.std(ddof=1) / math.sqrt(cfg.replicas))
-            z = (mean - exact) / stderr if stderr > 0 else 0.0
-            rows.append(MomentRow(n, moment, params.beta, params.alpha, mean, stderr, exact, z))
-            checks.append(CheckResult(f"{name}_moment_within_4_stderr[n={n}]", abs(z) <= 4.0,
-                                      f"mean={mean:.6g} exact={exact:.6g} z={z:.2f}"))
-    return Report(rows, checks)
-
 
 class TailRow(NamedTuple):
     """One (n, beta, x) cell of the tail sweep."""

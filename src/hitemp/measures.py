@@ -37,10 +37,6 @@ class DiscreteMeasure:
             raise ValueError("atoms must be finite")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def m(self) -> int:
-        return self.atoms.size
-
 
 def _cdf_inverse(probs: np.ndarray, lo, hi) -> np.ndarray:
     """Monotone bisection inverse of the semicircle CDF on the bracket

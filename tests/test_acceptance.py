@@ -7,7 +7,7 @@ and fails the suite if its criterion does not hold.
 import pytest
 
 from hitemp import acceptance
-from hitemp.experiments import ExperimentConfig, MomentRow, Report
+from hitemp.experiments import CheckResult, ExperimentConfig
 
 
 def _run(fn, workers):
@@ -35,6 +35,12 @@ def test_criterion_04_eigensolver_oracle(workers):
 
 def test_criterion_05_trace_identity(workers):
     _run(acceptance.criterion_5_trace_identity, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_criterion_05_numbers_at_quick(workers):
+    assert acceptance.criterion_5_trace_identity(workers=workers, quick=True) == CheckResult(
+        "trace identity Monte Carlo", True, "mean=1.078285 exact=1.078000 z=0.20 (|z| <= 4, 200 replicas)")
 
 
 def test_criterion_06_convergence_in_probability(workers):
@@ -67,12 +73,12 @@ def test_criterion_10_fails_on_a_non_zero_exit_code(monkeypatch):
 
 def test_campaign_criteria_default_to_the_config_worker_count(monkeypatch):
     # criteria 5-9 and run_all defaulted to one worker, a campaign to the core count
-    configs = []
+    configs, gather = [], acceptance._gather
 
-    def recording_moment_check(cfg):
+    def recording_gather(fn, cfg, row_shape=()):
         configs.append(cfg)
-        return Report([MomentRow(500, 2, 0.05, 12.5, 1.0, 1.0, 1.0, 0.0)], [])
+        return gather(fn, cfg, row_shape)
 
-    monkeypatch.setattr(acceptance, "run_moment_check", recording_moment_check)
+    monkeypatch.setattr(acceptance, "_gather", recording_gather)
     assert acceptance.criterion_5_trace_identity(quick=True).passed is True
     assert [cfg.workers for cfg in configs] == [ExperimentConfig.workers]

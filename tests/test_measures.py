@@ -16,7 +16,6 @@ from reference_oracles import semicircle_quantile_measure, w1_quadrature
 def test_measure_sorts_input():
     mu = DiscreteMeasure(np.array([2.0, -1.0, 0.5]))
     assert np.array_equal(mu.atoms, [-1.0, 0.5, 2.0])
-    assert mu.m == 3
 
 
 def test_measure_validation():
